@@ -90,7 +90,10 @@ def load_checkpoint(path):
         raise CheckpointTruncationError(
             f"coefficient block holds {len(body)} bytes, expected {expected}"
         )
-    grid = SpectralGrid(dim, points, box_length)
+    try:
+        grid = SpectralGrid(dim, points, box_length)
+    except (ValueError, OverflowError) as exc:
+        raise CheckpointDimensionError(f"stored grid is invalid: {exc}") from exc
     data = (
         np.frombuffer(body, dtype="<c16")
         .reshape((dim,) + grid.shape)

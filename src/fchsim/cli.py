@@ -29,27 +29,13 @@ def build_parser():
                          help="INI configuration file")
         sub.add_argument("--out", default=None,
                          help="output directory (overrides the config)")
-        sub.add_argument("--threads", type=int, default=None,
-                         help="cap the linear algebra thread pools")
         sub.add_argument("--seed", type=int, default=None,
-                         help="seed for randomized data")
+                         help="seed for randomized data "
+                              "(overrides the config's [datum] seed)")
         sub.add_argument("--override", action="append", default=[],
                          metavar="SECTION.KEY=VALUE",
                          help="override one config entry (repeatable)")
     return parser
-
-
-def _limit_threads(count):
-    if count < 1:
-        raise ValueError("thread count must be positive")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(count)
-    try:
-        import threadpoolctl
-    except ImportError:
-        return None
-    return threadpoolctl.threadpool_limits(count)
 
 
 def _print_report(report, out_dir):
@@ -67,14 +53,6 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    limiter = None
-    if args.threads is not None:
-        try:
-            limiter = _limit_threads(args.threads)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-
     from .config import ConfigError, load_experiment_config
     from .experiments import RUNNERS
     from .integrate import BlowUpError
@@ -90,8 +68,6 @@ def main(argv=None):
     except BlowUpError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
-    finally:
-        del limiter
 
     _print_report(report, config.output_dir)
     if report.get("blow_up"):

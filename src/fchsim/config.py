@@ -18,7 +18,6 @@ class ConfigError(ValueError):
 SCENARIOS = (
     "simulate",
     "decay",
-    "gradient-decay",
     "scaled-family",
     "alpha-sweep",
     "filter-check",
@@ -176,8 +175,8 @@ class ExperimentConfig:
             raise ConfigError(f"grid dim must be 2 or 3, got {dim}")
         if points < 8 or points % 2:
             raise ConfigError("grid points must be an even integer >= 8")
-        if box_length <= 0:
-            raise ConfigError("box_length must be positive")
+        if not 0 < box_length < float("inf"):
+            raise ConfigError("box_length must be positive and finite")
         kind = self.datum.get("kind")
         if kind is not None and kind not in DATUM_KINDS:
             raise ConfigError(f"unknown datum kind {kind!r}")
@@ -247,14 +246,9 @@ def build_config(scenario, raw, out=None, seed=None):
     typed = _typed(raw)
     declared = typed.get("experiment", {}).get("scenario")
     if declared is not None and declared != scenario:
-        # gradient-decay is a decay variant, reachable through the decay
-        # subcommand; anything else is a mismatch
-        aliases = {"decay", "gradient-decay"}
-        if not (declared in aliases and scenario in aliases):
-            raise ConfigError(
-                f"config declares scenario {declared!r} but {scenario!r} was invoked"
-            )
-        scenario = declared
+        raise ConfigError(
+            f"config declares scenario {declared!r} but {scenario!r} was invoked"
+        )
 
     kwargs = {"scenario": scenario}
     experiment = typed.get("experiment", {})

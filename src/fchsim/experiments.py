@@ -14,7 +14,6 @@ import os
 import time
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -42,17 +41,6 @@ from .integrate import (
     run,
     scaled_bump,
     stream_bump,
-)
-from .kernels import (
-    HeatKernelSpec,
-    gagliardo_seminorm_direct,
-    gagliardo_seminorm_fourier,
-    heat_kernel_values,
-    integral_fractional_laplacian,
-    kernel_lp_norm_slope,
-    mild_solution_picard,
-    normalization_constant,
-    predicted_lp_slope,
 )
 from .spectral import (
     PHYSICAL,
@@ -178,10 +166,13 @@ def make_datum(config, grid, eps=None):
         else:
             field = stream_bump(grid, width, peak)
     elif kind == "band-random":
-        seed = spec.pop("seed", config.seed)
+        # the --seed flag (config.seed) wins over [datum] seed
+        seed = spec.pop("seed", 0)
+        if config.seed is not None:
+            seed = config.seed
         band = (spec.pop("band_lo", 2.0), spec.pop("band_hi", 4.0))
-        field = band_random(grid, int(seed) if seed is not None else 0,
-                            band=band, amplitude=spec.pop("amplitude", 1.0))
+        field = band_random(grid, int(seed), band=band,
+                            amplitude=spec.pop("amplitude", 1.0))
     else:
         raise ConfigError(f"unknown datum kind {kind!r}")
     if spec:
@@ -318,22 +309,6 @@ def run_decay_experiment(config):
     return _finish(report, out)
 
 
-@dataclasses.dataclass
-class ScaledFamilySpec:
-    """One base datum generator plus the scaling parameters to run."""
-
-    base_datum: object  # callable (grid, eps) -> VectorField
-    epsilons: tuple
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if len(eps) < 2 or any(e <= 0 for e in eps):
-            raise ConfigError("epsilons must be positive, at least two")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("epsilons must be strictly decreasing")
-        self.epsilons = eps
-
-
 def _family_resolution_check(grid, width, eps):
     # the member's length scale is width / eps; it must fit the box and
     # stay at least a few cells wide
@@ -376,15 +351,12 @@ def run_scaled_family(config):
     datum.pop("epsilon", None)  # members come from the sweep list
     if datum:
         raise ConfigError(f"datum keys {sorted(datum)} are not used here")
-    family = ScaledFamilySpec(
-        base_datum=lambda g, e: scaled_bump(g, e, width, peak),
-        epsilons=config.epsilons)
 
     out = config.output_dir
     report = _new_report(config)
-    for eps in family.epsilons:
+    for eps in config.epsilons:
         _family_resolution_check(grid, width, eps)
-    u_base = family.base_datum(grid, 1.0)
+    u_base = scaled_bump(grid, 1.0, width, peak)
     base_l2 = l2_norm_sq(u_base)
     base_grad = gradient_norm_sq(u_base)
     report["u0_l2_sq"] = base_l2
@@ -393,8 +365,8 @@ def run_scaled_family(config):
     members = []
     worst_l2 = worst_grad = worst_identity = 0.0
     grad_rates = []
-    for eps in family.epsilons:
-        u0 = family.base_datum(grid, eps)
+    for eps in config.epsilons:
+        u0 = scaled_bump(grid, eps, width, peak)
         worst_l2 = max(worst_l2, abs(np.sqrt(l2_norm_sq(u0) / base_l2) - 1.0))
         worst_grad = max(
             worst_grad,
@@ -492,8 +464,7 @@ def run_alpha_sweep(config):
         return (state.t, state.v.field)
 
     try:
-        ref = run(v0, params, observers=[snap], stride=config.sample_stride,
-                  equations="fractional-nse")
+        ref = run(v0, params, observers=[snap], stride=config.sample_stride)
     except BlowUpError as err:
         _blow_up_report(report, err, out)
         raise
@@ -615,6 +586,9 @@ def run_filter_check(config):
 def _gaussian_multiplier_route(x, beta):
     # multiplier route for exp(-x^2/2) on the line, by direct quadrature
     # of the cosine-transform integral
+    # imported here so that the solver's import path never loads scipy
+    from scipy.integrate import quad
+
     value, _ = quad(
         lambda xi: xi ** (2.0 * beta) * np.exp(-xi ** 2 / 2.0) * np.cos(x * xi),
         0.0, 40.0, epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -623,6 +597,18 @@ def _gaussian_multiplier_route(x, beta):
 
 def run_kernel_check(config):
     """Invariant battery for the kernel quadrature oracle."""
+    # imported here so that the solver's import path never loads scipy
+    from .kernels import (
+        HeatKernelSpec,
+        gagliardo_seminorm_direct,
+        gagliardo_seminorm_fourier,
+        heat_kernel_values,
+        integral_fractional_laplacian,
+        kernel_lp_norm_slope,
+        normalization_constant,
+        predicted_lp_slope,
+    )
+
     gamma0 = config.kernel_gamma0
     n = config.kernel_dim
     out = config.output_dir
@@ -688,6 +674,11 @@ def run_kernel_check(config):
 
 def run_selftest(config):
     """Fast all-module battery; a fresh checkout passes everything."""
+    # imported here so that the solver's import path never loads scipy
+    from .kernels import (
+        HeatKernelSpec, heat_kernel_values, mild_solution_picard,
+        normalization_constant)
+
     out = config.output_dir
     report = _new_report(config)
     started = time.perf_counter()
@@ -785,7 +776,6 @@ def run_selftest(config):
 RUNNERS = {
     "simulate": run_simulate,
     "decay": run_decay_experiment,
-    "gradient-decay": run_decay_experiment,
     "scaled-family": run_scaled_family,
     "alpha-sweep": run_alpha_sweep,
     "filter-check": run_filter_check,

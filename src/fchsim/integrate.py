@@ -1,10 +1,11 @@
-"""Time stepping for the filtered and unfiltered advection systems.
+"""Time stepping for the filtered advection system.
 
-Both systems share one integrating-factor RK4 core: the dissipative
-multiplier exp(-nu |k|^(2 beta) h) is applied exactly per mode, the
-nonlinearity is evaluated pseudo-spectrally, dealiased, and projected
-onto divergence-free fields.  States live in spectral space; the k = 0
-mode is pinned to zero (mean-free velocities).
+One integrating-factor RK4 path: the dissipative multiplier
+exp(-nu |k|^(2 beta) h) is applied exactly per mode, the nonlinearity is
+evaluated pseudo-spectrally, dealiased, and projected onto divergence-free
+fields.  alpha = 0 is the unfiltered (fractional Navier-Stokes) system, since
+the projection removes (grad v)^T v = grad(|v|^2 / 2).  States live in
+spectral space; the k = 0 mode is pinned to zero (mean-free velocities).
 
 Initial-datum families:
   * stream_bump: 2-d velocity from a Gaussian stream function, div-free
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import record_energy
-from .fields import ProjectedField, advection_term, ch_nonlinear_term, leray_project
+from .fields import ProjectedField, ch_nonlinear_term, leray_project
 from .helmholtz import apply_filter
 from .spectral import PHYSICAL, SPECTRAL, VectorField, dealias, to_physical, to_spectral
 
@@ -94,10 +95,6 @@ class SimState:
     def grid(self):
         return self.v.field.grid
 
-    def velocity(self, alpha):
-        """Filtered advecting velocity u in physical space."""
-        return to_physical(apply_filter(self.v.field, alpha))
-
 
 @dataclass
 class RunSummary:
@@ -108,19 +105,9 @@ class RunSummary:
     wall_time: float
 
 
-_FACTOR_CACHE = {}
-
-
-def _integrating_factors(grid, nu, beta, dt):
-    key = (grid.dim, grid.shape[0], grid.box_length, nu, beta, dt)
-    hit = _FACTOR_CACHE.get(key)
-    if hit is None:
-        if len(_FACTOR_CACHE) >= 16:
-            _FACTOR_CACHE.pop(next(iter(_FACTOR_CACHE)))
-        lam = nu * grid.k_squared**beta
-        hit = (np.exp(-lam * dt), np.exp(-lam * (0.5 * dt)))
-        _FACTOR_CACHE[key] = hit
-    return hit
+def _integrating_factors(grid, params, dt):
+    lam = params.nu * grid.k_squared**params.beta
+    return np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
 
 
 def _rhs_filtered(grid, alpha, use_dealias):
@@ -133,15 +120,6 @@ def _rhs_filtered(grid, alpha, use_dealias):
     return rhs
 
 
-def _rhs_plain(grid, use_dealias):
-    def rhs(vhat):
-        v = to_physical(VectorField(grid, vhat, SPECTRAL))
-        adv = advection_term(v, dealias=use_dealias)
-        return -leray_project(adv).field.data
-
-    return rhs
-
-
 def _ifrk4(vhat, h, phi, phi_half, rhs):
     n1 = rhs(vhat)
     n2 = rhs(phi_half * (vhat + (0.5 * h) * n1))
@@ -150,11 +128,9 @@ def _ifrk4(vhat, h, phi, phi_half, rhs):
     return phi * vhat + (h / 6.0) * (phi * n1 + 2.0 * phi_half * (n2 + n3) + n4)
 
 
-def _advance(state, params, rhs, dt=None):
+def _advance(state, h, factors, rhs):
     grid = state.grid
-    h = params.dt if dt is None else dt
-    phi, phi_half = _integrating_factors(grid, params.nu, params.beta, h)
-    new = _ifrk4(state.v.field.data, h, phi, phi_half, rhs)
+    new = _ifrk4(state.v.field.data, h, *factors, rhs)
     new[(slice(None),) + (0,) * grid.dim] = 0.0
     t_next = state.t + h
     if not np.all(np.isfinite(new)):
@@ -164,12 +140,10 @@ def _advance(state, params, rhs, dt=None):
 
 def step_ch_alpha(state, params, dt=None):
     """One step of the filtered system (advecting velocity = filtered v)."""
-    return _advance(state, params, _rhs_filtered(state.grid, params.alpha, params.dealias), dt)
-
-
-def step_fractional_nse(state, params, dt=None):
-    """One step of the unfiltered system (advecting velocity = v itself)."""
-    return _advance(state, params, _rhs_plain(state.grid, params.dealias), dt)
+    grid = state.grid
+    h = params.dt if dt is None else dt
+    return _advance(state, h, _integrating_factors(grid, params, h),
+                    _rhs_filtered(grid, params.alpha, params.dealias))
 
 
 def prepare_initial_state(initial, params):
@@ -187,7 +161,7 @@ def _quadratic_energy(vhat, grid, inv_denom):
     return float(np.sum(amp * inv_denom) * grid.mode_weight)
 
 
-def run(initial, params, observers=None, stride=1, equations="ch-alpha"):
+def run(initial, params, observers=None, stride=1):
     """Integrate from a datum to t_end, sampling diagnostics every `stride` steps.
 
     observers are callables of the current SimState; non-None returns are
@@ -198,18 +172,13 @@ def run(initial, params, observers=None, stride=1, equations="ch-alpha"):
     """
     if stride < 1 or stride != int(stride):
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    steppers = {"ch-alpha": step_ch_alpha, "fractional-nse": step_fractional_nse}
-    if equations not in steppers:
-        raise ValueError(f"unknown equations {equations!r}; pick one of {sorted(steppers)}")
     observers = list(observers or [])
     grid = initial.field.grid if isinstance(initial, ProjectedField) else initial.grid
     params.warn_if_beta_exotic(grid.dim)
 
     state = prepare_initial_state(initial, params)
-    if equations == "ch-alpha":
-        rhs = _rhs_filtered(grid, params.alpha, params.dealias)
-    else:
-        rhs = _rhs_plain(grid, params.dealias)
+    rhs = _rhs_filtered(grid, params.alpha, params.dealias)
+    factors = _integrating_factors(grid, params, params.dt)
 
     n_full = int(np.floor(params.t_end / params.dt * (1 + 1e-12)))
     remainder = params.t_end - n_full * params.dt
@@ -237,9 +206,12 @@ def run(initial, params, observers=None, stride=1, equations="ch-alpha"):
 
     started = time.perf_counter()
     for j in range(1, n_total + 1):
-        h = remainder if (remainder and j == n_total) else None
+        h = params.dt
+        if remainder and j == n_total:
+            h = remainder
+            factors = _integrating_factors(grid, params, h)
         try:
-            state = _advance(state, params, rhs, h)
+            state = _advance(state, h, factors, rhs)
         except BlowUpError as err:
             err.records = records
             err.observations = observations

@@ -420,8 +420,8 @@ def gagliardo_seminorm_direct(xs, ys, beta):
     return math.sqrt(max(2.0 * (head + mid + tail), 0.0))
 
 
-def mild_solution_picard(initial, params, t, equations="ch-alpha", nodes=25,
-                         tol=1e-12, max_sweeps=200):
+def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
+                         max_sweeps=200):
     """Solve the mild (Duhamel) form on [0, t] by Picard iteration.
 
     The time integral is a trapezoid rule over equispaced nodes and the fixed
@@ -429,7 +429,7 @@ def mild_solution_picard(initial, params, t, equations="ch-alpha", nodes=25,
     the Runge-Kutta stepper, so agreement certifies both.  Returns the
     solution at time t as a spectral VectorField.
     """
-    from .integrate import _rhs_filtered, _rhs_plain, prepare_initial_state
+    from .integrate import _rhs_filtered, prepare_initial_state
 
     t = float(t)
     if t <= 0.0:
@@ -438,12 +438,7 @@ def mild_solution_picard(initial, params, t, equations="ch-alpha", nodes=25,
         raise ValueError(f"need at least 3 quadrature nodes, got {nodes}")
     state = prepare_initial_state(initial, params)
     grid = state.grid
-    if equations == "ch-alpha":
-        rhs = _rhs_filtered(grid, params.alpha, params.dealias)
-    elif equations == "fractional-nse":
-        rhs = _rhs_plain(grid, params.dealias)
-    else:
-        raise ValueError(f"unknown equations {equations!r}")
+    rhs = _rhs_filtered(grid, params.alpha, params.dealias)
 
     symbol = params.nu * grid.k_squared**params.beta
     times = np.linspace(0.0, t, nodes)

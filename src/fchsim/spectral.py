@@ -28,8 +28,8 @@ class SpectralGrid(object):
         n = int(points_per_axis)
         if n != points_per_axis or n < 8 or n % 2 != 0:
             raise ValueError("points_per_axis must be an even integer >= 8")
-        if not (box_length > 0):
-            raise ValueError("box_length must be positive")
+        if not (0 < box_length < np.inf):
+            raise ValueError("box_length must be positive and finite")
         self.dim = dim
         self.points_per_axis = n
         self.box_length = float(box_length)

@@ -1,10 +1,13 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fchsim.checkpoint import (
     MAGIC,
+    VERSION,
     CheckpointDimensionError,
     CheckpointError,
     CheckpointMagicError,
@@ -113,6 +116,39 @@ class TestTypedErrors:
 
     def test_magic_constant(self):
         assert MAGIC == b"FCHV"
+
+    @pytest.mark.parametrize("points, box_length", [
+        (31, 1.0), (0, 1.0), (6, 1.0), (32, 0.0), (32, -2.0),
+        (32, float("nan")), (32, float("inf"))])
+    def test_invalid_stored_grid(self, tmp_path, points, box_length):
+        path = tmp_path / "grid.chk"
+        header = struct.pack("<4sBII5d", MAGIC, VERSION, 2, points, box_length,
+                             0.1, 0.75, 0.5, 0.0)
+        path.write_bytes(header + bytes(2 * points**2 * 16))
+        with pytest.raises(CheckpointDimensionError, match="stored grid"):
+            load_checkpoint(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.sampled_from([MAGIC, b"FCHW"]),
+       version=st.one_of(st.just(VERSION), st.integers(0, 255)),
+       dim=st.integers(0, 4),
+       points=st.one_of(st.integers(0, 24), st.just(2**32 - 1)),
+       reals=st.tuples(*[st.floats()] * 5),
+       exact_body=st.booleans(),
+       body_shift=st.integers(-40, 40))
+def test_fuzzed_file_raises_only_checkpoint_errors(
+        tmp_path_factory, magic, version, dim, points, reals, exact_body,
+        body_shift):
+    header = struct.pack("<4sBII5d", magic, version, dim, points, *reals)
+    expected = dim * points**dim * 16
+    length = expected if exact_body and expected < 10**6 else max(body_shift, 0)
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.chk"
+    path.write_bytes(header + bytes(length))
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass
 
 
 class TestRestart:

@@ -137,10 +137,6 @@ class TestExitCodes:
         assert main(["simulate", "--config", ini]) == 2
         assert "bad value" in capsys.readouterr().err
 
-    def test_nonpositive_threads_exits_two(self, capsys):
-        assert main(["selftest", "--threads", "0"]) == 2
-        assert "usage error" in capsys.readouterr().err
-
     def test_blow_up_exits_three(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "sim.ini", BLOW_UP_INI)
         code = main(["simulate", "--config", ini,
@@ -149,23 +145,6 @@ class TestExitCodes:
         assert "[FAIL] run reached t_end" in capsys.readouterr().out
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["blow_up"]["t"] == pytest.approx(0.5)
-
-
-class TestThreadFlag:
-    def test_thread_cap_sets_environment(self, tmp_path):
-        saved = {var: os.environ.get(var)
-                 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                             "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-        try:
-            code = main(["selftest", "--out", str(tmp_path), "--threads", "1"])
-            assert code == 0
-            assert os.environ["OMP_NUM_THREADS"] == "1"
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
 
 
 class TestEntryPoint:
@@ -177,3 +156,12 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "[PASS]" in proc.stdout
         assert (tmp_path / "report.json").exists()
+
+    def test_solver_import_leaves_scipy_oracles_unloaded(self):
+        code = ("import sys, fchsim.cli, fchsim.experiments; "
+                "print(sorted(m for m in ('scipy.special', 'scipy.integrate', "
+                "'scipy.interpolate') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

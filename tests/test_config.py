@@ -102,11 +102,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="declares scenario"):
             load_experiment_config("simulate", write(tmp_path, GOOD))
 
-    def test_gradient_decay_alias(self, tmp_path):
-        text = GOOD.replace("scenario = decay", "scenario = gradient-decay")
-        config = load_experiment_config("decay", write(tmp_path, text))
-        assert config.scenario == "gradient-decay"
-
     def test_out_and_seed_flags_win(self, tmp_path):
         config = load_experiment_config("decay", write(tmp_path, GOOD),
                                         out="elsewhere", seed=11)
@@ -144,6 +139,8 @@ class TestExperimentConfigValidation:
             ExperimentConfig(scenario="simulate", grid=(4, 64, 1.0))
         with pytest.raises(ConfigError, match="even"):
             ExperimentConfig(scenario="simulate", grid=(2, 63, 1.0))
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(scenario="simulate", grid=(2, 64, float("inf")))
 
     def test_datum_kind_checked(self):
         with pytest.raises(ConfigError, match="datum kind"):

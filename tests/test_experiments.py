@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from fchsim.checkpoint import load_checkpoint
-from fchsim.config import ConfigError, ExperimentConfig
+from fchsim.config import ConfigError, ExperimentConfig, load_experiment_config
 from fchsim.diagnostics import EnergyRecord
 from fchsim.experiments import (
     BOX_TRUNCATION_CAVEAT,
     RUNNERS,
-    ScaledFamilySpec,
     make_datum,
     run_alpha_sweep,
     run_decay_experiment,
@@ -65,13 +64,13 @@ class TestHelpers:
         assert loaded["bad"] == "inf"
         assert loaded["pair"] == [1, True]
 
-    def test_family_spec_validation(self):
+    def test_family_spec_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="strictly decreasing"):
-            ScaledFamilySpec(base_datum=None, epsilons=(1.0, 1.0))
+            config_for("scaled-family", tmp_path, epsilons=(1.0, 1.0))
         with pytest.raises(ConfigError, match="positive"):
-            ScaledFamilySpec(base_datum=None, epsilons=(1.0, -0.5))
-        spec = ScaledFamilySpec(base_datum=None, epsilons=[1, 0.5])
-        assert spec.epsilons == (1.0, 0.5)
+            config_for("scaled-family", tmp_path, epsilons=(1.0, -0.5))
+        config = config_for("scaled-family", tmp_path, epsilons=[1, 0.5])
+        assert tuple(config.epsilons) == (1.0, 0.5)
 
 
 class TestMakeDatum:
@@ -101,6 +100,19 @@ class TestMakeDatum:
                               datum={"kind": "band-random", "seed": 9})
         assert np.array_equal(make_datum(with_cfg, grid).data,
                               make_datum(explicit, grid).data)
+
+    def test_seed_flag_wins_over_config_seed(self):
+        # the shipped sweep config sets [datum] seed = 7
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "alpha_sweep_2d.ini")
+
+        def datum(seed):
+            config = load_experiment_config(
+                "alpha-sweep", path=path, overrides=["grid.points=32"], seed=seed)
+            return make_datum(config, SpectralGrid(*config.grid)).data
+
+        assert not np.array_equal(datum(1), datum(2))
+        assert np.array_equal(datum(7), datum(None))
 
     def test_foreign_keys_rejected(self, tmp_path):
         grid = SpectralGrid(2, 32, TWO_PI)

@@ -291,26 +291,14 @@ class TestGagliardoSeminorm:
 
 
 class TestMildSolutionPicard:
-    def test_matches_stepper_ch_alpha(self):
+    @pytest.mark.parametrize("alpha, seed, nodes", [(1.0, 11, 25), (0.0, 12, 33)],
+                             ids=("alpha=1", "alpha=0"))
+    def test_matches_stepper(self, alpha, seed, nodes):
         grid = SpectralGrid(2, 32, 2.0 * np.pi)
-        v0 = band_random(grid, seed=11, band=(2.0, 5.0), amplitude=0.8)
-        params = SolverParams(nu=0.05, beta=0.75, alpha=1.0, dt=1e-4, t_end=0.01)
-        summary = run(v0, params, equations="ch-alpha")
-        picard = mild_solution_picard(v0, params, 0.01, equations="ch-alpha")
-        a = summary.state.v.field.data
-        rel = np.sqrt(
-            np.sum(np.abs(a - picard.data) ** 2) / np.sum(np.abs(a) ** 2)
-        )
-        assert rel <= 1e-6
-
-    def test_matches_stepper_fractional_nse(self):
-        grid = SpectralGrid(2, 32, 2.0 * np.pi)
-        v0 = band_random(grid, seed=12, band=(2.0, 5.0), amplitude=0.8)
-        params = SolverParams(nu=0.05, beta=0.75, alpha=0.0, dt=1e-4, t_end=0.01)
-        summary = run(v0, params, equations="fractional-nse")
-        picard = mild_solution_picard(
-            v0, params, 0.01, equations="fractional-nse", nodes=33
-        )
+        v0 = band_random(grid, seed=seed, band=(2.0, 5.0), amplitude=0.8)
+        params = SolverParams(nu=0.05, beta=0.75, alpha=alpha, dt=1e-4, t_end=0.01)
+        summary = run(v0, params)
+        picard = mild_solution_picard(v0, params, 0.01, nodes=nodes)
         a = summary.state.v.field.data
         rel = np.sqrt(
             np.sum(np.abs(a - picard.data) ** 2) / np.sum(np.abs(a) ** 2)
@@ -330,7 +318,5 @@ class TestMildSolutionPicard:
         params = SolverParams(nu=0.1, beta=0.75, alpha=0.5, dt=1e-3, t_end=0.01)
         with pytest.raises(ValueError):
             mild_solution_picard(v0, params, -0.01)
-        with pytest.raises(ValueError):
-            mild_solution_picard(v0, params, 0.01, equations="navier")
         with pytest.raises(ValueError):
             mild_solution_picard(v0, params, 0.01, nodes=2)

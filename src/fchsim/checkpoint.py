@@ -12,7 +12,7 @@ import numpy as np
 
 from .fields import ProjectedField
 from .integrate import SimState
-from .spectral import SPECTRAL, SpectralGrid, VectorField, to_spectral
+from .spectral import SPECTRAL, SpectralGrid, VectorField, to_spectral, validate_grid
 
 MAGIC = b"FCHV"
 VERSION = 1
@@ -82,18 +82,17 @@ def load_checkpoint(path):
         raise CheckpointVersionError(
             f"unsupported version {version}, this build reads {VERSION}"
         )
-    if dim not in (2, 3):
-        raise CheckpointDimensionError(f"stored dimension {dim} is not 2 or 3")
+    try:
+        validate_grid(dim, points, box_length)
+    except ValueError as exc:
+        raise CheckpointDimensionError(f"stored grid is invalid: {exc}") from exc
     expected = dim * points**dim * 16
     body = blob[_HEADER.size :]
     if len(body) != expected:
         raise CheckpointTruncationError(
             f"coefficient block holds {len(body)} bytes, expected {expected}"
         )
-    try:
-        grid = SpectralGrid(dim, points, box_length)
-    except (ValueError, OverflowError) as exc:
-        raise CheckpointDimensionError(f"stored grid is invalid: {exc}") from exc
+    grid = SpectralGrid(dim, points, box_length)
     data = (
         np.frombuffer(body, dtype="<c16")
         .reshape((dim,) + grid.shape)

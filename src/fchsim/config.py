@@ -9,6 +9,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from .integrate import SolverParams
+from .spectral import validate_grid
 
 
 class ConfigError(ValueError):
@@ -170,13 +171,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.sample_stride < 1:
             raise ConfigError("sample_stride must be a positive integer")
-        dim, points, box_length = self.grid
-        if dim not in (2, 3):
-            raise ConfigError(f"grid dim must be 2 or 3, got {dim}")
-        if points < 8 or points % 2:
-            raise ConfigError("grid points must be an even integer >= 8")
-        if not 0 < box_length < float("inf"):
-            raise ConfigError("box_length must be positive and finite")
+        try:
+            validate_grid(*self.grid)
+        except ValueError as exc:
+            raise ConfigError(f"bad [grid]: {exc}") from exc
         kind = self.datum.get("kind")
         if kind is not None and kind not in DATUM_KINDS:
             raise ConfigError(f"unknown datum kind {kind!r}")

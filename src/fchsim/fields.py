@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    SPECTRAL, VectorField, dealias as dealias_modes, to_physical, to_spectral,
-    _scalar_forward, _scalar_inverse,
+    SPECTRAL, VectorField, dealias as dealias_modes, real_forward, to_physical,
+    to_spectral, _scalar_forward, _scalar_inverse,
 )
 
 
@@ -40,14 +40,18 @@ def leray_project(v):
     The zero mode is forced to zero (mean-free velocity convention), which
     also removes the 0/0 in the projector there.
     """
-    vh = to_spectral(v)
+    vh = to_spectral(v).data
     grid = v.grid
     k = grid.derivative_wavenumbers
-    ksq = np.sum(k * k, axis=0)
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    kdotv = np.sum(k * vh.data, axis=0)
-    data = vh.data - k * (kdotv / ksq_safe)[np.newaxis]
-    data = data.copy()
+    # one component at a time: no (dim, N^n) temporaries
+    kdotv = k[0] * vh[0]
+    for i in range(1, grid.dim):
+        kdotv += k[i] * vh[i]
+    kdotv *= grid.inverse_k_squared
+    data = np.empty_like(vh)
+    for i in range(grid.dim):
+        np.multiply(k[i], kdotv, out=data[i])
+        np.subtract(vh[i], data[i], out=data[i])
     data[(slice(None),) + (0,) * grid.dim] = 0.0
     out = VectorField(grid, data, SPECTRAL)
     return ProjectedField(out, divergence_free=True)
@@ -68,7 +72,11 @@ def ch_nonlinear_term(u, v, dealias=True):
     """N(u, v) = u.grad(v) + v.grad(u)^T, un-projected, spectral output.
 
     Products are formed pointwise in physical space, derivatives taken
-    spectrally, and the result dealiased (2/3 rule) unless disabled.
+    spectrally, and the result dealiased (2/3 rule) unless disabled.  The
+    Jacobians are streamed: each derivative d_b v_a and d_b u_a goes through
+    one reused spectral and one reused physical buffer and is folded into
+    the product at once, as u_b d_b v_a into component a and v_a d_b u_a
+    into component b.
     """
     if u.grid != v.grid:
         raise ValueError("u and v live on different grids")
@@ -76,16 +84,24 @@ def ch_nonlinear_term(u, v, dealias=True):
         raise ValueError("ch_nonlinear_term expects physical inputs")
     grid = u.grid
     dim = grid.dim
-    uh = np.fft.fftn(u.data, axes=tuple(range(1, dim + 1)))
-    vh = np.fft.fftn(v.data, axes=tuple(range(1, dim + 1)))
-    dv = _jacobian_physical(grid, vh)   # dv[i, j] = d_j v_i
-    du = _jacobian_physical(grid, uh)
+    axes = tuple(range(1, dim + 1))
+    uh = real_forward(u.data, axes)
+    vh = real_forward(v.data, axes)
+    # The inverse reads only the modes 0 <= m <= N/2 of the last axis, so
+    # i k_b fhat_a is formed there alone; the rest of the buffer stays 0.
+    half = (Ellipsis, slice(0, grid.points_per_axis // 2 + 1))
+    ik = 1j * grid.derivative_wavenumbers[half]
+    spectrum = np.zeros(grid.shape, np.complex128)
+    derivative = np.empty(grid.shape)
     out = np.zeros((dim,) + grid.shape)
-    for i in range(dim):
-        for j in range(dim):
-            out[i] += u.data[j] * dv[i, j] + v.data[j] * du[j, i]
-    nh = VectorField(grid, np.fft.fftn(out, axes=tuple(range(1, dim + 1))),
-                     SPECTRAL)
+    for a in range(dim):
+        for b in range(dim):
+            for fh, factor, target in ((vh, u.data[b], a), (uh, v.data[a], b)):
+                np.multiply(ik[b], fh[a][half], out=spectrum[half])
+                _scalar_inverse(grid, spectrum, out=derivative)
+                derivative *= factor
+                out[target] += derivative
+    nh = VectorField(grid, real_forward(out, axes), SPECTRAL)
     return dealias_modes(nh) if dealias else nh
 
 
@@ -95,14 +111,13 @@ def advection_term(v, dealias=True):
         raise ValueError("advection_term expects a physical input")
     grid = v.grid
     dim = grid.dim
-    vh = np.fft.fftn(v.data, axes=tuple(range(1, dim + 1)))
-    dv = _jacobian_physical(grid, vh)
+    axes = tuple(range(1, dim + 1))
+    dv = _jacobian_physical(grid, real_forward(v.data, axes))
     out = np.zeros((dim,) + grid.shape)
     for i in range(dim):
         for j in range(dim):
             out[i] += v.data[j] * dv[i, j]
-    nh = VectorField(grid, np.fft.fftn(out, axes=tuple(range(1, dim + 1))),
-                     SPECTRAL)
+    nh = VectorField(grid, real_forward(out, axes), SPECTRAL)
     return dealias_modes(nh) if dealias else nh
 
 
@@ -121,10 +136,8 @@ def symmetrized_identity_check(u, v):
     s = np.sum(u.data * v.data, axis=0)
     sh = _scalar_forward(grid, s)
     k = grid.derivative_wavenumbers
-    uh = np.fft.fftn(u.data, axes=tuple(range(1, dim + 1)))
-    vh = np.fft.fftn(v.data, axes=tuple(range(1, dim + 1)))
-    du = _jacobian_physical(grid, uh)
-    dv = _jacobian_physical(grid, vh)
+    du = _jacobian_physical(grid, to_spectral(u).data)
+    dv = _jacobian_physical(grid, to_spectral(v).data)
     worst_num = 0.0
     worst_den = 0.0
     for i in range(dim):
@@ -154,23 +167,20 @@ def recover_pressure(u, v):
             raise ValueError("%s is not divergence-free; project it first" % name)
     up = to_physical(u)
     vp = to_physical(v)
-    vh = np.fft.fftn(vp.data, axes=tuple(range(1, dim + 1)))
-    dv = _jacobian_physical(grid, vh)
+    dv = _jacobian_physical(grid, to_spectral(vp).data)
     adv = np.zeros((dim,) + grid.shape)      # u.grad(v)
     advT = np.zeros((dim,) + grid.shape)     # (u.grad(v)^T)_i = sum_j u_j d_i v_j
     for i in range(dim):
         for j in range(dim):
             adv[i] += up.data[j] * dv[i, j]
             advT[i] += up.data[j] * dv[j, i]
-    wh = np.fft.fftn(adv - advT, axes=tuple(range(1, dim + 1)))
+    wh = real_forward(adv - advT, range(1, dim + 1))
     div_h = np.sum(1j * k * wh, axis=0)
     zero = (0,) * dim
     scale = np.max(np.abs(div_h)) + np.max(np.abs(wh))
     if abs(div_h[zero]) > 1e-10 * (scale + 1e-300) * grid.points_per_axis ** dim:
         raise ValueError("source term has a nonzero mean; pressure undefined")
-    ksq = np.sum(k * k, axis=0)
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    qh = div_h / ksq_safe          # q = p + sum u_i v_i solves -Lap q = div w
+    qh = div_h * grid.inverse_k_squared   # q = p + sum u_i v_i solves -Lap q = div w
     qh[zero] = 0.0
     s = np.sum(up.data * vp.data, axis=0)
     p = _scalar_inverse(grid, qh) - s

@@ -12,54 +12,37 @@ holds to roundoff and is exposed as a residual for monitoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diagnostics import lp_norm
-from .spectral import VectorField
+from .spectral import SPECTRAL, VectorField, to_physical, to_spectral
 
 
-@dataclass(frozen=True)
-class FilterParams:
-    """Width of the smoothing filter; zero means the identity map."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError(f"filter width must be finite and >= 0, got {self.alpha}")
-
-
-def _spectral_data(field):
-    if field.is_spectral:
-        return field.data
-    axes = tuple(range(1, field.grid.dim + 1))
-    return np.fft.fftn(field.data, axes=axes)
+def _check_width(alpha):
+    """The filter width must be finite and >= 0; zero is the identity map."""
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"filter width must be finite and >= 0, got {alpha}")
 
 
 def apply_filter(v, alpha):
     """Smooth v by inverting 1 - alpha^2 lap; returns same representation."""
-    FilterParams(alpha)
+    _check_width(alpha)
     if alpha == 0.0:
         return v.copy()
     grid = v.grid
     symbol = 1.0 / (1.0 + alpha**2 * grid.k_squared)
-    axes = tuple(range(1, grid.dim + 1))
-    out = _spectral_data(v) * symbol
-    if v.is_spectral:
-        return VectorField(grid, out, "spectral")
-    return VectorField(grid, np.fft.ifftn(out, axes=axes).real, "physical")
+    out = VectorField(grid, to_spectral(v).data * symbol, SPECTRAL)
+    return out if v.is_spectral else to_physical(out)
 
 
 def filter_identity_residual(v, alpha, m=0):
     """Relative defect of the exact three-term norm identity at derivative order m."""
-    FilterParams(alpha)
+    _check_width(alpha)
     if m < 0 or m != int(m):
         raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
     grid = v.grid
     k2 = grid.k_squared
-    vh = _spectral_data(v)
+    vh = to_spectral(v).data
     uh = vh / (1.0 + alpha**2 * k2)
     amp_u = np.sum(np.abs(uh) ** 2, axis=0)
     amp_v = np.sum(np.abs(vh) ** 2, axis=0)

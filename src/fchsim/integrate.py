@@ -27,7 +27,9 @@ import numpy as np
 from .diagnostics import record_energy
 from .fields import ProjectedField, ch_nonlinear_term, leray_project
 from .helmholtz import apply_filter
-from .spectral import PHYSICAL, SPECTRAL, VectorField, dealias, to_physical, to_spectral
+from .spectral import (
+    PHYSICAL, SPECTRAL, VectorField, dealias, real_forward, to_physical, to_spectral,
+)
 
 
 class BlowUpError(RuntimeError):
@@ -115,7 +117,9 @@ def _rhs_filtered(grid, alpha, use_dealias):
         v = to_physical(VectorField(grid, vhat, SPECTRAL))
         u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
         nl = ch_nonlinear_term(u, v, dealias=use_dealias)
-        return -leray_project(nl).field.data
+        # leray_project returns a fresh array, so it can be negated in place
+        out = leray_project(nl).field.data
+        return np.negative(out, out=out)
 
     return rhs
 
@@ -279,7 +283,7 @@ def band_random(grid, seed, band=(2.0, 4.0), amplitude=1.0):
         raise ValueError(f"need 0 <= lo <= hi in the band, got {band}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((grid.dim,) + grid.shape)
-    fh = np.fft.fftn(raw, axes=tuple(range(1, grid.dim + 1)))
+    fh = real_forward(raw, range(1, grid.dim + 1))
     mag = np.sqrt(np.sum(grid.mode_numbers**2, axis=0))
     fh *= (mag >= lo) & (mag <= hi) & grid.dealias_mask
     field = VectorField(grid, fh, SPECTRAL)

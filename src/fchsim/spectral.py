@@ -4,12 +4,16 @@ Grids, forward/inverse transforms, Fourier multipliers (including the
 fractional Laplacian), spectral differentiation and 2/3-rule dealiasing.
 
 Conventions fixed here and relied on everywhere else:
-  - forward transform is the unnormalized DFT (numpy fftn), the inverse
-    carries the 1/N^n factor
+  - forward transform is the unnormalized DFT, the inverse carries the
+    1/N^n factor
+  - every transform of the solver goes through real_forward/real_inverse:
+    physical data is real, so the spectrum is Hermitian, F(-k) = conj F(k)
   - physical quadrature weight is (L/N)^n, so the Parseval pairing is
     sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n)
   - wavenumbers are k = (2*pi/L)*m with integer m in [-N/2, N/2)
 """
+
+import itertools
 
 import numpy as np
 
@@ -19,17 +23,38 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 
+def validate_grid(dim, points_per_axis, box_length):
+    """Raise ValueError unless the triple describes a usable periodic grid.
+
+    Besides the dimension, an even point count >= 8 and a positive finite
+    box, the quadrature weights (L/N)^n and L^n/N^(2n) must be positive
+    floats: a box so large (or small) that they overflow (or underflow)
+    would run to NaN energies.
+    """
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3, got %r" % (dim,))
+    n = int(points_per_axis)
+    if n != points_per_axis or n < 8 or n % 2 != 0:
+        raise ValueError("points_per_axis must be an even integer >= 8")
+    if not (0 < box_length < np.inf):
+        raise ValueError("box_length must be positive and finite")
+    length = float(box_length)
+    try:
+        weights = ((length / n) ** dim, length ** dim / float(n) ** (2 * dim))
+    except OverflowError:
+        weights = (np.inf,)
+    if not all(0 < w < np.inf for w in weights):
+        raise ValueError("box_length %g is out of range for a %d-D grid: its "
+                         "quadrature weights overflow or underflow"
+                         % (length, dim))
+
+
 class SpectralGrid(object):
     """Periodic box discretization with its wavenumber lattice."""
 
     def __init__(self, dim, points_per_axis, box_length):
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3, got %r" % (dim,))
+        validate_grid(dim, points_per_axis, box_length)
         n = int(points_per_axis)
-        if n != points_per_axis or n < 8 or n % 2 != 0:
-            raise ValueError("points_per_axis must be an even integer >= 8")
-        if not (0 < box_length < np.inf):
-            raise ValueError("box_length must be positive and finite")
         self.dim = dim
         self.points_per_axis = n
         self.box_length = float(box_length)
@@ -45,6 +70,10 @@ class SpectralGrid(object):
         # mode zeroed, else the result picks up a spurious imaginary part
         self.derivative_wavenumbers = np.where(
             np.abs(self.mode_numbers) == n // 2, 0.0, self.wavenumbers)
+        # 1/|k|^2 of the Leray projector, with 1 where |k| = 0
+        ksq = np.sum(self.derivative_wavenumbers ** 2, axis=0)
+        ksq[ksq == 0] = 1.0
+        self.inverse_k_squared = 1.0 / ksq
         # |m| > N/3 on any axis is zeroed by the 2/3 rule
         cutoff = n / 3.0
         self.dealias_mask = np.all(np.abs(self.mode_numbers) <= cutoff, axis=0)
@@ -141,18 +170,74 @@ def _spatial_axes(grid):
     return tuple(range(1, grid.dim + 1))
 
 
+def _mirror_half(full, axes):
+    """Overwrite the modes past N/2 on the last of `axes` with conj F(-k).
+
+    The source is the half 1 <= m < N/2 on that axis, read through reversed
+    slices (m -> N - m on every axis, index 0 being its own mirror).  The two
+    planes m = 0 and m = N/2 pair with themselves, so they are mirrored in
+    turn over the remaining axes; a point equal to its own mirror is real.
+    """
+    *lead, last = axes
+    half = full.shape[last] // 2
+    for flips in itertools.product((False, True), repeat=len(lead)):
+        dst = [slice(None)] * full.ndim
+        src = [slice(None)] * full.ndim
+        for axis, flip in zip(lead, flips):
+            dst[axis] = slice(1, None) if flip else slice(0, 1)
+            src[axis] = slice(None, 0, -1) if flip else slice(0, 1)
+        dst[last] = slice(half + 1, None)
+        src[last] = slice(half - 1, 0, -1)
+        np.conjugate(full[tuple(src)], out=full[tuple(dst)])
+    for m in (0, half):
+        index = [slice(None)] * full.ndim
+        index[last] = slice(m, m + 1)
+        plane = full[tuple(index)]
+        if lead:
+            _mirror_half(plane, lead)
+        else:
+            plane.imag = 0.0
+
+
+def real_forward(data, axes):
+    """Unnormalized DFT of real `data` over `axes`, full-size complex output.
+
+    rfftn writes the modes 0 <= m <= N/2 of the last axis straight into the
+    output; the rest is filled by Hermitian symmetry, so the result is
+    exactly Hermitian.
+    """
+    axes = tuple(axes)
+    full = np.empty(data.shape, np.complex128)
+    index = [slice(None)] * data.ndim
+    index[axes[-1]] = slice(0, data.shape[axes[-1]] // 2 + 1)
+    np.fft.rfftn(data, axes=axes, out=full[tuple(index)])
+    _mirror_half(full, axes)
+    return full
+
+
+def real_inverse(spectrum, axes, out=None):
+    """Inverse DFT over `axes` of a Hermitian full-size spectrum, real output.
+
+    irfftn reads only the modes 0 <= m <= N/2 of the last axis and takes
+    the rest to be their mirror, so any anti-Hermitian part is dropped.
+    """
+    axes = tuple(axes)
+    return np.fft.irfftn(spectrum, s=[spectrum.shape[a] for a in axes],
+                         axes=axes, out=out)
+
+
 def transform(field, direction):
     """Forward (physical -> spectral) or inverse DFT of a field."""
     if direction == FORWARD:
         if field.is_spectral:
             raise ValueError("forward transform needs a physical field")
-        data = np.fft.fftn(field.data, axes=_spatial_axes(field.grid))
+        data = real_forward(field.data, _spatial_axes(field.grid))
         return VectorField(field.grid, data, SPECTRAL)
     if direction == INVERSE:
         if not field.is_spectral:
             raise ValueError("inverse transform needs a spectral field")
-        data = np.fft.ifftn(field.data, axes=_spatial_axes(field.grid))
-        return VectorField(field.grid, data.real, PHYSICAL)
+        data = real_inverse(field.data, _spatial_axes(field.grid))
+        return VectorField(field.grid, data, PHYSICAL)
     raise ValueError("direction must be %r or %r" % (FORWARD, INVERSE))
 
 
@@ -161,14 +246,22 @@ def to_spectral(field):
 
 
 def to_physical(field):
+    """Physical form of a field.
+
+    A spectral field must be Hermitian, F(-k) = conj F(k), as every spectrum
+    of a real field is: only the modes 0 <= m <= N/2 of the last axis are
+    read, so an anti-Hermitian part is silently dropped (hermitian_defect
+    measures it).
+    """
     return transform(field, INVERSE) if field.is_spectral else field
 
 
 def hermitian_defect(field):
-    """Max imaginary residue left by the inverse transform.
+    """Max imaginary part of the complex-to-complex inverse transform.
 
     Zero (to roundoff) exactly when the spectral data is Hermitian
-    symmetric, i.e. represents a real field.
+    symmetric, i.e. represents a real field.  It stays a full complex
+    inverse because real_inverse cannot see what it would measure.
     """
     if not field.is_spectral:
         return 0.0
@@ -240,11 +333,11 @@ def fractional_laplacian(field, beta):
 
 
 def _scalar_forward(grid, f):
-    return np.fft.fftn(f, axes=tuple(range(grid.dim)))
+    return real_forward(f, range(grid.dim))
 
 
-def _scalar_inverse(grid, fh):
-    return np.fft.ifftn(fh, axes=tuple(range(grid.dim))).real
+def _scalar_inverse(grid, fh, out=None):
+    return real_inverse(fh, range(grid.dim), out=out)
 
 
 def scalar_gradient(grid, f, spectral_in=False, spectral_out=False):
@@ -314,8 +407,8 @@ def dealias(field):
     """Zero every coefficient with |m| > N/3 on any axis (2/3 rule)."""
     if not field.is_spectral:
         raise ValueError("dealias acts on spectral fields")
-    return VectorField(field.grid, field.data * field.grid.dealias_mask,
-                       SPECTRAL)
+    return VectorField(field.grid, np.where(field.grid.dealias_mask,
+                                            field.data, 0.0), SPECTRAL)
 
 
 def zero_mean(field):

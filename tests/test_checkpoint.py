@@ -119,7 +119,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("points, box_length", [
         (31, 1.0), (0, 1.0), (6, 1.0), (32, 0.0), (32, -2.0),
-        (32, float("nan")), (32, float("inf"))])
+        (32, float("nan")), (32, float("inf")), (32, 1e200)])
     def test_invalid_stored_grid(self, tmp_path, points, box_length):
         path = tmp_path / "grid.chk"
         header = struct.pack("<4sBII5d", MAGIC, VERSION, 2, points, box_length,

@@ -137,6 +137,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", ini]) == 2
         assert "bad value" in capsys.readouterr().err
 
+    def test_overflowing_box_length_exits_two(self, tmp_path, capsys):
+        code = main(["simulate", "--out", str(tmp_path),
+                     "--override", "grid.dim=3",
+                     "--override", "grid.points=8",
+                     "--override", "grid.box_length=1e103"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "overflow" in err
+
     def test_blow_up_exits_three(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "sim.ini", BLOW_UP_INI)
         code = main(["simulate", "--config", ini,
@@ -160,7 +169,7 @@ class TestEntryPoint:
     def test_solver_import_leaves_scipy_oracles_unloaded(self):
         code = ("import sys, fchsim.cli, fchsim.experiments; "
                 "print(sorted(m for m in ('scipy.special', 'scipy.integrate', "
-                "'scipy.interpolate') if m in sys.modules))")
+                "'scipy.interpolate', 'scipy.fft') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -141,6 +141,8 @@ class TestExperimentConfigValidation:
             ExperimentConfig(scenario="simulate", grid=(2, 63, 1.0))
         with pytest.raises(ConfigError, match="finite"):
             ExperimentConfig(scenario="simulate", grid=(2, 64, float("inf")))
+        with pytest.raises(ConfigError, match="overflow"):
+            ExperimentConfig(scenario="simulate", grid=(3, 64, 1e103))
 
     def test_datum_kind_checked(self):
         with pytest.raises(ConfigError, match="datum kind"):

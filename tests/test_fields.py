@@ -7,8 +7,9 @@ from fchsim.spectral import (
 )
 from fchsim.fields import (
     ch_nonlinear_term, divergence_defect, leray_project, recover_pressure,
-    symmetrized_identity_check,
+    symmetrized_identity_check, _jacobian_physical,
 )
+from fchsim.integrate import band_random
 from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq
 from conftest import random_field, random_divfree
 
@@ -68,6 +69,30 @@ def test_nonlinear_term_contracts(grid32):
         ch_nonlinear_term(u, random_field(g2, seed=8))
     with pytest.raises(ValueError):
         ch_nonlinear_term(to_spectral(u), u)
+
+
+def _jacobian_product(u, v, use_dealias):
+    """u.grad(v) + v.grad(u)^T from both full Jacobians, summed per point."""
+    grid = u.grid
+    dv = _jacobian_physical(grid, to_spectral(v).data)   # dv[i, j] = d_j v_i
+    du = _jacobian_physical(grid, to_spectral(u).data)
+    out = np.zeros((grid.dim,) + grid.shape)
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            out[i] += u.data[j] * dv[i, j] + v.data[j] * du[j, i]
+    nh = to_spectral(VectorField(grid, out, "physical"))
+    return dealias(nh) if use_dealias else nh
+
+
+@pytest.mark.parametrize("use_dealias", [True, False], ids=["dealiased", "aliased"])
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_streamed_product_matches_jacobian_formula(dim, n, use_dealias):
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    u = band_random(grid, seed=31, band=(1.0, 6.0))
+    v = band_random(grid, seed=32, band=(2.0, 7.0), amplitude=0.7)
+    expected = _jacobian_product(u, v, use_dealias).data
+    got = ch_nonlinear_term(u, v, dealias=use_dealias).data
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from fchsim.diagnostics import l2_norm_sq
-from fchsim.helmholtz import FilterParams, apply_filter, filter_convergence_curve, filter_identity_residual
+from fchsim.helmholtz import apply_filter, filter_convergence_curve, filter_identity_residual
 from fchsim.spectral import SpectralGrid, VectorField, laplacian, to_physical, to_spectral
 
 from conftest import random_field
 
 
-def test_params_reject_negative_width():
+def test_params_reject_negative_width(grid32):
+    v = random_field(grid32, seed=1)
     with pytest.raises(ValueError):
-        FilterParams(-0.1)
+        apply_filter(v, -0.1)
     with pytest.raises(ValueError):
-        FilterParams(float("nan"))
+        apply_filter(v, float("nan"))
+    with pytest.raises(ValueError):
+        filter_identity_residual(v, -0.1)
 
 
 def test_zero_width_is_identity(grid32):

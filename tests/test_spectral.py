@@ -1,12 +1,17 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fchsim
 from fchsim.spectral import (
     SpectralGrid, VectorField, Multiplier,
     transform, to_spectral, to_physical, hermitian_defect,
     apply_multiplier, fractional_laplacian,
     gradient, divergence, laplacian, dealias, zero_mean,
+    real_forward, real_inverse, validate_grid,
 )
 from conftest import random_field
 
@@ -30,6 +35,15 @@ def test_grid_validation():
         SpectralGrid(2, 16, 0.0)
     g = SpectralGrid(3, 8, 2.0)
     assert g.shape == (8, 8, 8)
+
+
+def test_grid_validation_rejects_overflowing_weights():
+    # (L/N)^3 and L^3/N^6 overflow a float for L = 1e103
+    with pytest.raises(ValueError, match="overflow"):
+        validate_grid(3, 16, 1e103)
+    with pytest.raises(ValueError, match="overflow"):
+        SpectralGrid(3, 16, 1e103)
+    validate_grid(2, 16, 1e103)
 
 
 def test_wavenumber_lattice_symmetry():
@@ -265,3 +279,94 @@ def test_zero_mean(grid32):
     zm = zero_mean(f)
     assert abs(np.mean(zm.data[0])) < 1e-13
     assert abs(np.mean(zm.data[1])) < 1e-13
+
+
+# The two real-data DFT helpers against numpy's complex-to-complex transforms,
+# on scalar (axes 0..d-1) and vector (axes 1..d) layouts.
+DFT_CASES = [(2, 8), (2, 32), (3, 8), (3, 16)]
+
+
+def _dft_layout(dim, n, vector):
+    shape = ((dim,) if vector else ()) + (n,) * dim
+    first = 1 if vector else 0
+    return shape, tuple(range(first, first + dim))
+
+
+def _mirror(spectrum, axes):
+    """F(-k) on the DFT lattice: index m -> -m mod N on every axis."""
+    out = spectrum
+    for axis in axes:
+        out = np.roll(np.flip(out, axis), 1, axis)
+    return out
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_real_forward_matches_fftn(dim, n, vector):
+    shape, axes = _dft_layout(dim, n, vector)
+    f = np.random.default_rng(n + dim).standard_normal(shape)
+    expected = np.fft.fftn(f, axes=axes)
+    got = real_forward(f, axes)
+    assert got.shape == expected.shape and got.dtype == np.complex128
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_real_forward_is_exactly_hermitian(dim, n, vector):
+    shape, axes = _dft_layout(dim, n, vector)
+    f = np.random.default_rng(7 * n + dim).standard_normal(shape)
+    spectrum = real_forward(f, axes)
+    assert np.array_equal(_mirror(spectrum, axes), np.conj(spectrum))
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_real_inverse_matches_ifftn(dim, n, vector):
+    shape, axes = _dft_layout(dim, n, vector)
+    spectrum = np.fft.fftn(np.random.default_rng(3 * n + dim).standard_normal(shape),
+                           axes=axes)
+    expected = np.fft.ifftn(spectrum, axes=axes).real
+    got = real_inverse(spectrum, axes)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    out = np.empty(shape)
+    assert real_inverse(spectrum, axes, out=out) is out
+    assert np.array_equal(out, got)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_hermitian_defect_sees_what_the_real_inverse_drops(dim, n):
+    grid = SpectralGrid(dim, n, 2.0 * np.pi)
+    f = to_spectral(random_field(grid, seed=41))
+    assert hermitian_defect(f) <= 1e-15 * np.max(np.abs(f.data))
+    # a mode past N/2 on the last axis, without its conjugate at -k: the
+    # real inverse never reads it, the complex one does
+    broken = f.copy()
+    broken.data[(0,) + (1,) * (dim - 1) + (n - 1,)] += 1.0
+    assert np.array_equal(to_physical(broken).data, to_physical(f).data)
+    assert hermitian_defect(broken) >= 0.5 / n ** dim
+
+
+_TRANSFORM_CALL = re.compile(
+    r"\bfft\.(?:fft|ifft|fft2|ifft2|fftn|ifftn|rfft|irfft|rfft2|irfft2|rfftn|"
+    r"irfftn|hfft|ihfft)\s*\(")
+_FFT_IMPORT = re.compile(r"^\s*(?:from|import)\s+(?:numpy|scipy)[\w.]*fft|"
+                         r"^\s*from\s+(?:numpy|scipy)\s+import\s+.*\bfft\b",
+                         re.MULTILINE)
+
+
+def test_transforms_live_in_spectral_only():
+    # One FFT layer: solver modules transform through spectral.py; kernels.py
+    # keeps its own complex-to-complex calls as an independent oracle.
+    package = Path(fchsim.__file__).parent
+    allowed = {"spectral.py", "kernels.py"}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        hits = _TRANSFORM_CALL.findall(text) + _FFT_IMPORT.findall(text)
+        if path.name == "spectral.py":
+            assert len(_TRANSFORM_CALL.findall(text)) >= 2   # the scan sees calls
+        elif hits and path.name not in allowed:
+            offenders.append(path.name)
+    assert offenders == []

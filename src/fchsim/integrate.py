@@ -125,11 +125,42 @@ def _rhs_filtered(grid, alpha, use_dealias):
 
 
 def _ifrk4(vhat, h, phi, phi_half, rhs):
-    n1 = rhs(vhat)
-    n2 = rhs(phi_half * (vhat + (0.5 * h) * n1))
-    n3 = rhs(phi_half * vhat + (0.5 * h) * n2)
-    n4 = rhs(phi * vhat + h * phi_half * n3)
-    return phi * vhat + (h / 6.0) * (phi * n1 + 2.0 * phi_half * (n2 + n3) + n4)
+    """One integrating-factor RK4 step, in low storage.
+
+    Every coefficient goes through the same floating-point operations, with
+    the same operands in the same order, as
+
+        n1 = rhs(v)
+        n2 = rhs(P (v + h/2 n1))
+        n3 = rhs(P v + h/2 n2)
+        n4 = rhs(phi v + h P n3)
+        phi v + h/6 (phi n1 + 2 P (n2 + n3) + n4),    P = phi_half,
+
+    but the step works in place: besides `vhat` it holds the accumulator
+    phi n1 (+ ...), the stage argument and at most one stage result, so at
+    most four state-sized arrays are live while rhs runs.
+    """
+    acc = rhs(vhat)
+    stage = np.multiply(0.5 * h, acc)
+    np.add(vhat, stage, out=stage)
+    np.multiply(phi_half, stage, out=stage)
+    np.multiply(phi, acc, out=acc)                  # phi n1
+    n2 = rhs(stage)
+    np.multiply(phi_half, vhat, out=stage)
+    np.add(stage, np.multiply(0.5 * h, n2), out=stage)
+    n3 = rhs(stage)
+    np.add(n2, n3, out=n2)                          # n2 + n3
+    np.multiply(h * phi_half, n3, out=n3)
+    np.multiply(phi, vhat, out=stage)
+    np.add(stage, n3, out=stage)
+    del n3
+    n4 = rhs(stage)
+    np.multiply(2.0 * phi_half, n2, out=n2)
+    np.add(acc, n2, out=acc)
+    np.add(acc, n4, out=acc)
+    np.multiply(h / 6.0, acc, out=acc)
+    np.multiply(phi, vhat, out=stage)
+    return np.add(stage, acc, out=stage)
 
 
 def _advance(state, h, factors, rhs):

@@ -175,8 +175,7 @@ def _mirror_half(full, axes):
 
     The source is the half 1 <= m < N/2 on that axis, read through reversed
     slices (m -> N - m on every axis, index 0 being its own mirror).  The two
-    planes m = 0 and m = N/2 pair with themselves, so they are mirrored in
-    turn over the remaining axes; a point equal to its own mirror is real.
+    planes m = 0 and m = N/2 pair with themselves (_pair_planes).
     """
     *lead, last = axes
     half = full.shape[last] // 2
@@ -189,27 +188,43 @@ def _mirror_half(full, axes):
         dst[last] = slice(half + 1, None)
         src[last] = slice(half - 1, 0, -1)
         np.conjugate(full[tuple(src)], out=full[tuple(dst)])
+    _pair_planes(full, axes, half)
+
+
+def _pair_planes(spectrum, axes, half):
+    """Make the planes m = 0 and m = `half` = N/2 of the last of `axes`
+    exactly Hermitian: each is mirrored in turn over the remaining axes, and
+    a point equal to its own mirror is made real.  They lie in the half
+    0 <= m <= N/2, so this works on a half spectrum too."""
+    *lead, last = axes
     for m in (0, half):
-        index = [slice(None)] * full.ndim
+        index = [slice(None)] * spectrum.ndim
         index[last] = slice(m, m + 1)
-        plane = full[tuple(index)]
+        plane = spectrum[tuple(index)]
         if lead:
             _mirror_half(plane, lead)
         else:
             plane.imag = 0.0
 
 
-def real_forward(data, axes):
+def real_forward(data, axes, half=False):
     """Unnormalized DFT of real `data` over `axes`, full-size complex output.
 
     rfftn writes the modes 0 <= m <= N/2 of the last axis straight into the
     output; the rest is filled by Hermitian symmetry, so the result is
-    exactly Hermitian.
+    exactly Hermitian.  With `half`, only the modes 0 <= m <= N/2 are
+    returned, bit for bit those of the full output, for a spectrum that is
+    only ever read there.
     """
     axes = tuple(axes)
+    n_last = data.shape[axes[-1]]
+    if half:
+        out = np.fft.rfftn(data, axes=axes)
+        _pair_planes(out, axes, n_last // 2)
+        return out
     full = np.empty(data.shape, np.complex128)
     index = [slice(None)] * data.ndim
-    index[axes[-1]] = slice(0, data.shape[axes[-1]] // 2 + 1)
+    index[axes[-1]] = slice(0, n_last // 2 + 1)
     np.fft.rfftn(data, axes=axes, out=full[tuple(index)])
     _mirror_half(full, axes)
     return full

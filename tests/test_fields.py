@@ -1,6 +1,13 @@
+import os
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from fchsim import fields
+from fchsim.helmholtz import apply_filter
 from fchsim.spectral import (
     SpectralGrid, VectorField, curl, dealias, gradient, to_physical,
     to_spectral,
@@ -93,6 +100,92 @@ def test_streamed_product_matches_jacobian_formula(dim, n, use_dealias):
     expected = _jacobian_product(u, v, use_dealias).data
     got = ch_nonlinear_term(u, v, dealias=use_dealias).data
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _product_pair(dim, n, alpha):
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    v = band_random(grid, seed=33, band=(2.0, 6.0))
+    return (to_physical(apply_filter(v, alpha)) if alpha else v), v
+
+
+@pytest.mark.parametrize("dim, n, alpha", [(2, 256, 0.1), (3, 48, 0.0)])
+def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
+    u, v = _product_pair(dim, n, alpha)
+    on_main = []
+    add_terms = fields._add_terms
+
+    def spy(job):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        add_terms(job)
+
+    monkeypatch.setattr(fields, "_add_terms", spy)
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)  # even on one CPU
+    threaded = ch_nonlinear_term(u, v).data
+    assert sorted(on_main) == [False, True]     # one lane ran on the worker
+    monkeypatch.setattr(fields, "THREADED_MIN_POINTS", n ** dim + 1)
+    on_main.clear()
+    serial = ch_nonlinear_term(u, v).data
+    assert on_main == [True]
+    assert np.array_equal(threaded, serial)
+
+
+def _lane_workers():
+    return {t for t in threading.enumerate() if t.name.startswith("fchsim-lane")}
+
+
+def test_concurrent_callers_share_one_worker(monkeypatch):
+    # more callers than cores, a short switch interval and a fresh pool that
+    # all callers ask for at once: every product must still equal the
+    # one-thread product, and only one worker may start
+    u, v = _product_pair(2, 256, 0.1)
+    with monkeypatch.context() as one_thread:
+        one_thread.setattr(fields, "THREADED_MIN_POINTS", 2 ** 32)
+        expected = ch_nonlinear_term(u, v).data
+    barrier = threading.Barrier(4, timeout=60)
+
+    def two_cpus_once_all_callers_arrive():
+        barrier.wait()
+        return 2
+
+    monkeypatch.setattr(fields, "_cpu_count", two_cpus_once_all_callers_arrive)
+    monkeypatch.setattr(fields, "_POOL", None)
+    results = []
+    workers_before = _lane_workers()
+
+    def call():
+        for _ in range(2):
+            results.append(np.array_equal(ch_nonlinear_term(u, v).data, expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+        started = _lane_workers() - workers_before
+    finally:
+        sys.setswitchinterval(interval)
+        if fields._POOL is not None:
+            fields._POOL.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [True] * 8
+    assert len(started) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    # a child inherits the pool object but not its thread
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    u, v = _product_pair(2, 256, 0.0)
+    expected = ch_nonlinear_term(u, v).data
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(60)
+        status = 0 if np.array_equal(ch_nonlinear_term(u, v).data, expected) else 1
+        os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
 
 
 @pytest.mark.parametrize("seed", range(10))

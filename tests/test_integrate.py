@@ -6,6 +6,9 @@ import pytest
 from fchsim.diagnostics import gradient_norm_sq, l2_norm_sq
 from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
 from fchsim.integrate import (
+    _ifrk4,
+    _integrating_factors,
+    _rhs_filtered,
     BlowUpError,
     SimState,
     SolverParams,
@@ -182,6 +185,42 @@ def test_bitwise_deterministic(grid32):
     b = run(band_random(grid32, seed=16, band=(1.0, 5.0), amplitude=0.7), params)
     assert np.array_equal(a.state.v.field.data, b.state.v.field.data)
     assert [r.E for r in a.records] == [r.E for r in b.records]
+
+
+def test_bitwise_deterministic_on_two_lanes():
+    # 256^2 reaches fields.THREADED_MIN_POINTS: on two or more CPUs the
+    # nonlinear product runs one lane on a worker thread
+    grid = SpectralGrid(2, 256, 2 * np.pi)
+    params = make_params(nu=0.02, alpha=0.1, dt=0.005, t_end=0.015)
+    a, b = (run(band_random(grid, seed=18, band=(2.0, 4.0)), params) for _ in range(2))
+    assert a.steps == 3
+    assert np.array_equal(a.state.v.field.data, b.state.v.field.data)
+    assert a.records == b.records
+
+
+def _reference_ifrk4(vhat, h, phi, phi_half, rhs):
+    # the one-line integrating-factor RK4 step that _ifrk4 does in low storage
+    n1 = rhs(vhat)
+    n2 = rhs(phi_half * (vhat + (0.5 * h) * n1))
+    n3 = rhs(phi_half * vhat + (0.5 * h) * n2)
+    n4 = rhs(phi * vhat + h * phi_half * n3)
+    return phi * vhat + (h / 6.0) * (phi * n1 + 2.0 * phi_half * (n2 + n3) + n4)
+
+
+@pytest.mark.parametrize("dim, n, alpha, h", [
+    (2, 32, 0.5, 0.01), (3, 16, 0.0, 0.01), (2, 32, 0.5, 0.0037),
+], ids=["2d-alpha", "3d-alpha0", "2d-closing-step"])
+def test_low_storage_step_matches_reference_bitwise(dim, n, alpha, h):
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    params = make_params(alpha=alpha, dt=0.01)
+    vhat = prepare_initial_state(band_random(grid, seed=19, band=(1.0, 6.0)),
+                                 params).v.field.data
+    before = vhat.copy()
+    factors = _integrating_factors(grid, params, h)
+    rhs = _rhs_filtered(grid, alpha, True)
+    got = _ifrk4(vhat, h, *factors, rhs)
+    assert np.array_equal(got, _reference_ifrk4(vhat, h, *factors, rhs))
+    assert np.array_equal(vhat, before)     # the input state is not touched
 
 
 def test_cfl_helper(grid32):

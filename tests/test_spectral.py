@@ -322,6 +322,18 @@ def test_real_forward_is_exactly_hermitian(dim, n, vector):
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 @pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_real_forward_half_is_the_full_outputs_half(dim, n, vector):
+    # the half spectrum skips the mirror fill but not the exact Hermitian
+    # pairing inside the self-paired planes m = 0 and m = N/2
+    shape, axes = _dft_layout(dim, n, vector)
+    f = np.random.default_rng(5 * n + dim).standard_normal(shape)
+    got = real_forward(f, axes, half=True)
+    assert got.shape == shape[:-1] + (n // 2 + 1,)
+    assert np.array_equal(got, real_forward(f, axes)[..., :n // 2 + 1])
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_real_inverse_matches_ifftn(dim, n, vector):
     shape, axes = _dft_layout(dim, n, vector)
     spectrum = np.fft.fftn(np.random.default_rng(3 * n + dim).standard_normal(shape),

@@ -6,15 +6,8 @@ import argparse
 import os
 import sys
 
-SUBCOMMANDS = (
-    "simulate",
-    "decay",
-    "scaled-family",
-    "alpha-sweep",
-    "filter-check",
-    "kernel-check",
-    "selftest",
-)
+from .config import SCENARIOS, ConfigError, load_experiment_config
+from .experiments import RUNNERS
 
 
 def build_parser():
@@ -23,7 +16,7 @@ def build_parser():
         description="Pseudo-spectral experiments for the filtered "
                     "momentum equations with fractional dissipation.")
     subparsers = parser.add_subparsers(dest="scenario", required=True)
-    for name in SUBCOMMANDS:
+    for name in SCENARIOS:
         sub = subparsers.add_parser(name, help=f"run the {name} scenario")
         sub.add_argument("--config", default=None,
                          help="INI configuration file")
@@ -53,10 +46,6 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    from .config import ConfigError, load_experiment_config
-    from .experiments import RUNNERS
-    from .integrate import BlowUpError
-
     try:
         config = load_experiment_config(
             args.scenario, path=args.config, overrides=args.override,
@@ -65,9 +54,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except BlowUpError as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 3
 
     _print_report(report, config.output_dir)
     if report.get("blow_up"):

@@ -1,8 +1,9 @@
 """Experiment configuration: INI files, overrides, validation.
 
 Misconfigured physics must fail loudly: unknown sections or keys are errors,
-every value is type-checked, and scenario-specific requirements (exponent
-hypotheses, decreasing sweep lists) are enforced before any run starts.
+every value is type-checked, and every scenario requirement (a [solver]
+section, the grid dimension, the datum keys, exponent hypotheses, decreasing
+sweep lists, resolved family members) is enforced here, before any run starts.
 """
 
 import configparser
@@ -26,7 +27,16 @@ SCENARIOS = (
     "selftest",
 )
 
-DATUM_KINDS = ("stream-bump", "band-random", "scaled-bump")
+# Scenarios that integrate the equations, and so need a [solver] section.
+_INTEGRATING = ("simulate", "decay", "scaled-family", "alpha-sweep")
+
+# The [datum] keys each kind takes, with their defaults: the one table that
+# both the checks below and experiments.make_datum read.
+DATUM_DEFAULTS = {
+    "stream-bump": {"width": 1.0, "peak_speed": 1.0},
+    "scaled-bump": {"width": 1.0, "peak_speed": 1.0, "epsilon": 1.0},
+    "band-random": {"seed": 0, "band_lo": 2.0, "band_hi": 4.0, "amplitude": 1.0},
+}
 
 
 def _parse_bool(text):
@@ -175,15 +185,39 @@ class ExperimentConfig:
             validate_grid(*self.grid)
         except ValueError as exc:
             raise ConfigError(f"bad [grid]: {exc}") from exc
-        kind = self.datum.get("kind")
-        if kind is not None and kind not in DATUM_KINDS:
-            raise ConfigError(f"unknown datum kind {kind!r}")
+        if self.datum_kind not in DATUM_DEFAULTS:
+            raise ConfigError(f"unknown datum kind {self.datum_kind!r}")
+        foreign = set(self.datum) - {"kind"} - set(DATUM_DEFAULTS[self.datum_kind])
+        if foreign:
+            raise ConfigError(f"datum keys {sorted(foreign)} are not used by"
+                              f" kind {self.datum_kind!r}")
         if self.scenario == "scaled-family":
-            self._check_epsilons()
+            self._check_family()
+        if self.scenario in _INTEGRATING and self.params is None:
+            raise ConfigError(f"scenario {self.scenario!r} needs a [solver] section")
+        if self.scenario == "decay" and self.grid[0] != 2:
+            raise ConfigError("decay fits run on two-dimensional grids")
         if self.scenario == "alpha-sweep":
             self._check_alpha_sweep()
 
-    def _check_epsilons(self):
+    @property
+    def datum_kind(self):
+        default = {"alpha-sweep": "band-random",
+                   "scaled-family": "scaled-bump"}.get(self.scenario, "stream-bump")
+        return self.datum.get("kind", default)
+
+    @property
+    def datum_values(self):
+        """The kind's [datum] keys: the set values over the table's defaults.
+
+        Resolved here on every read, never written back, so `datum` (and the
+        report's config block) holds exactly what the configuration set.
+        """
+        values = dict(DATUM_DEFAULTS[self.datum_kind])
+        values.update((k, v) for k, v in self.datum.items() if k != "kind")
+        return values
+
+    def _check_family(self):
         if not self.epsilons:
             raise ConfigError("scaled-family needs an epsilons list")
         eps = tuple(self.epsilons)
@@ -191,6 +225,23 @@ class ExperimentConfig:
             raise ConfigError("epsilons must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])) or len(eps) < 2:
             raise ConfigError("epsilons must be strictly decreasing, length >= 2")
+        if self.datum_kind != "scaled-bump":
+            raise ConfigError("scaled-family runs on the scaled-bump datum")
+        # each member's length scale width / eps must fit the box and stay
+        # at least a few cells wide
+        _, points, length = self.grid
+        cells = 4.0 * (length / points)
+        width = self.datum_values["width"]
+        for e in eps:
+            effective = width / e
+            if effective > length / 6.0:
+                raise ConfigError(
+                    f"family member eps = {e:g} has scale {effective:g}, too close"
+                    f" to the box size {length:g}")
+            if effective < cells:
+                raise ConfigError(
+                    f"family member eps = {e:g} has scale {effective:g}, under four"
+                    f" grid cells ({cells:g})")
 
     def _check_alpha_sweep(self):
         if not self.alphas:
@@ -203,8 +254,9 @@ class ExperimentConfig:
             raise ConfigError(
                 "alphas must be strictly decreasing with at least 3 positive entries"
             )
-        if self.params is None:
-            raise ConfigError("alpha-sweep needs solver parameters")
+        if self.params.alpha != 0.0:
+            raise ConfigError("alpha-sweep takes its widths from [alpha-sweep]"
+                              " alphas; set [solver] alpha = 0")
         n = self.grid[0]
         beta = self.params.beta
         l = self.l_exponent
@@ -239,8 +291,6 @@ class ExperimentConfig:
 
 def build_config(scenario, raw, out=None, seed=None):
     """Assemble an ExperimentConfig from typed-or-raw sections and CLI flags."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
     typed = _typed(raw)
     declared = typed.get("experiment", {}).get("scenario")
     if declared is not None and declared != scenario:

@@ -39,9 +39,6 @@ class DecayFit:
     intercept: float
     r_squared: float
 
-    def is_algebraic(self, threshold=0.98):
-        return self.r_squared >= threshold
-
 
 def l2_inner(a, b):
     """Discrete L2 inner product, via Parseval when both are spectral."""

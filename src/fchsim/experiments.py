@@ -1,7 +1,8 @@
 """Scenario runners behind the command line.
 
 Every runner takes an ExperimentConfig, writes its artifacts (CSV streams,
-JSON report) under config.output_dir, and returns the report dict.  A report
+JSON report) under config.output_dir, and returns the report dict; a blow-up
+in any runner ends in a report with a "blow_up" entry.  A report
 embeds the full configuration, the package version, and the fit windows, so
 a run can be reproduced and re-checked from the file alone; each asserted
 fact appears as one entry in report["assertions"] and the overall verdict in
@@ -142,61 +143,55 @@ def _blow_up_report(report, err, out_dir):
         report.setdefault("artifacts", {})["energy_csv"] = "energy.csv"
     _check(report, "run reached t_end", False,
            f"blow-up at t = {err.t:g}: {err.reason}")
-    return _finish(report, out_dir)
 
 
-_DEFAULT_DATUM = {
-    "alpha-sweep": "band-random",
-    "scaled-family": "scaled-bump",
-}
+def _scenario(body):
+    """Make the runner `run(config) -> report` from `body(config, report)`.
+
+    The one report path: the runner starts the report, lets the body fill
+    it, turns a blow-up anywhere in the body into the report's "blow_up"
+    entry, and finishes and writes the report.  Configuration errors pass
+    through unreported.
+    """
+    def runner(config):
+        report = _new_report(config)
+        try:
+            body(config, report)
+        except BlowUpError as err:
+            _blow_up_report(report, err, config.output_dir)
+        return _finish(report, config.output_dir)
+    runner.__name__ = runner.__qualname__ = body.__name__
+    runner.__doc__ = body.__doc__
+    return runner
 
 
 def make_datum(config, grid, eps=None):
-    """Build the configured initial field; datum keys foreign to the kind
-    are configuration errors."""
-    spec = dict(config.datum)
-    kind = spec.pop("kind", _DEFAULT_DATUM.get(config.scenario, "stream-bump"))
-    if kind in ("stream-bump", "scaled-bump"):
-        width = spec.pop("width", 1.0)
-        peak = spec.pop("peak_speed", 1.0)
-        if kind == "scaled-bump":
-            cfg_eps = spec.pop("epsilon", None)
-            member = eps if eps is not None else (cfg_eps if cfg_eps is not None else 1.0)
-            field = scaled_bump(grid, member, width, peak)
-        else:
-            field = stream_bump(grid, width, peak)
-    elif kind == "band-random":
-        # the --seed flag (config.seed) wins over [datum] seed
-        seed = spec.pop("seed", 0)
-        if config.seed is not None:
-            seed = config.seed
-        band = (spec.pop("band_lo", 2.0), spec.pop("band_hi", 4.0))
-        field = band_random(grid, int(seed), band=band,
-                            amplitude=spec.pop("amplitude", 1.0))
-    else:
-        raise ConfigError(f"unknown datum kind {kind!r}")
-    if spec:
-        raise ConfigError(f"datum keys {sorted(spec)} are not used by kind {kind!r}")
-    return field
-
-
-def _require_params(config):
-    if config.params is None:
-        raise ConfigError(f"scenario {config.scenario!r} needs a [solver] section")
-    return config.params
-
-
-def run_simulate(config):
-    """Plain integration: energy CSV, final checkpoint, monotonicity check."""
-    grid = SpectralGrid(*config.grid)
-    params = _require_params(config)
-    v0 = make_datum(config, grid)
-    out = config.output_dir
-    report = _new_report(config)
+    """Build the configured initial field, the scaled-bump family member
+    `eps` in place of [datum] epsilon when given.  The constructors' value
+    checks surface as configuration errors."""
+    kind, spec = config.datum_kind, config.datum_values
     try:
-        summary = run(v0, params, stride=config.sample_stride)
-    except BlowUpError as err:
-        return _blow_up_report(report, err, out)
+        if kind == "band-random":
+            # the --seed flag (config.seed) wins over [datum] seed
+            seed = spec["seed"] if config.seed is None else config.seed
+            return band_random(grid, int(seed),
+                               band=(spec["band_lo"], spec["band_hi"]),
+                               amplitude=spec["amplitude"])
+        if kind == "scaled-bump":
+            member = spec["epsilon"] if eps is None else eps
+            return scaled_bump(grid, member, spec["width"], spec["peak_speed"])
+        return stream_bump(grid, spec["width"], spec["peak_speed"])
+    except ValueError as exc:
+        raise ConfigError(f"bad [datum]: {exc}") from exc
+
+
+@_scenario
+def run_simulate(config, report):
+    """Plain integration: energy CSV, final checkpoint, monotonicity check."""
+    params = config.params
+    v0 = make_datum(config, SpectralGrid(*config.grid))
+    out = config.output_dir
+    summary = run(v0, params, stride=config.sample_stride)
     write_energy_csv(summary.records, os.path.join(out, "energy.csv"))
     save_checkpoint(summary.state, params, os.path.join(out, "final.chk"))
     report["artifacts"] = {"energy_csv": "energy.csv", "checkpoint": "final.chk"}
@@ -209,13 +204,13 @@ def run_simulate(config):
     _check(report, "energy nonincreasing", upward <= 1e-9 * max(energies[0], 1.0),
            f"worst upward step {upward:.3e}")
     report["final"] = {"t": summary.state.t, "E": energies[-1]}
-    return _finish(report, out)
 
 
 _DECAY_GATES = {"E": (0.5, 0.98), "gradv_l2": (1.0, 0.95)}
 
 
-def run_decay_experiment(config):
+@_scenario
+def run_decay_experiment(config, report):
     """Long run of one datum with log-log decay fits against predicted rates.
 
     E and |grad v|^2 carry pass/fail gates (exponent within a band around the
@@ -227,24 +222,17 @@ def run_decay_experiment(config):
     report quantifies that for the actual datum.
     """
     grid = SpectralGrid(*config.grid)
-    if grid.dim != 2:
-        raise ConfigError("decay fits run on two-dimensional grids")
-    params = _require_params(config)
+    params = config.params
     v0 = make_datum(config, grid)
     window = config.fit_window or default_fit_window(params.t_end)
     out = config.output_dir
-    report = _new_report(config)
     report["fit_window"] = list(window)
     report["caveats"] = [BOX_TRUNCATION_CAVEAT]
 
     def grad2(state):
         return (state.t, gradient_norm_sq(state.v.field, order=2))
 
-    try:
-        summary = run(v0, params, observers=[grad2], stride=config.sample_stride)
-    except BlowUpError as err:
-        return _blow_up_report(report, err, out)
-
+    summary = run(v0, params, observers=[grad2], stride=config.sample_stride)
     records = summary.records
     write_energy_csv(records, os.path.join(out, "energy.csv"))
     report["artifacts"] = {"energy_csv": "energy.csv"}
@@ -306,21 +294,6 @@ def run_decay_experiment(config):
     report["cesaro_mean"] = {
         "decreasing_final_half": cesaro["decreasing_final_half"],
         "final_mean": cesaro["final_mean"]}
-    return _finish(report, out)
-
-
-def _family_resolution_check(grid, width, eps):
-    # the member's length scale is width / eps; it must fit the box and
-    # stay at least a few cells wide
-    effective = width / eps
-    if effective > grid.box_length / 6.0:
-        raise ConfigError(
-            f"family member eps = {eps:g} has scale {effective:g}, too close"
-            f" to the box size {grid.box_length:g}")
-    if effective < 4.0 * grid.spacing:
-        raise ConfigError(
-            f"family member eps = {eps:g} has scale {effective:g}, under four"
-            f" grid cells ({4.0 * grid.spacing:g})")
 
 
 def _half_life(records):
@@ -335,28 +308,17 @@ def _half_life(records):
     return None
 
 
-def run_scaled_family(config):
+@_scenario
+def run_scaled_family(config, report):
     """Datum family u0_eps(x) = eps^(n/2) u0(eps x): exact norm identities,
     a linear-in-time energy deficit bound with one fitted rate constant,
     and half-lives that spread apart as eps shrinks (so no single decay
     profile covers the family)."""
     grid = SpectralGrid(*config.grid)
-    params = _require_params(config)
-    datum = dict(config.datum)
-    kind = datum.pop("kind", "scaled-bump")
-    if kind != "scaled-bump":
-        raise ConfigError("scaled-family runs on the scaled-bump datum")
-    width = float(datum.pop("width", 3.0))
-    peak = float(datum.pop("peak_speed", 0.05))
-    datum.pop("epsilon", None)  # members come from the sweep list
-    if datum:
-        raise ConfigError(f"datum keys {sorted(datum)} are not used here")
-
+    params = config.params
     out = config.output_dir
-    report = _new_report(config)
-    for eps in config.epsilons:
-        _family_resolution_check(grid, width, eps)
-    u_base = scaled_bump(grid, 1.0, width, peak)
+    # members come from the epsilons list, not from [datum] epsilon
+    u_base = make_datum(config, grid, eps=1.0)
     base_l2 = l2_norm_sq(u_base)
     base_grad = gradient_norm_sq(u_base)
     report["u0_l2_sq"] = base_l2
@@ -366,7 +328,7 @@ def run_scaled_family(config):
     worst_l2 = worst_grad = worst_identity = 0.0
     grad_rates = []
     for eps in config.epsilons:
-        u0 = scaled_bump(grid, eps, width, peak)
+        u0 = make_datum(config, grid, eps=eps)
         worst_l2 = max(worst_l2, abs(np.sqrt(l2_norm_sq(u0) / base_l2) - 1.0))
         worst_grad = max(
             worst_grad,
@@ -376,10 +338,7 @@ def run_scaled_family(config):
         worst_identity = max(worst_identity,
                              filter_identity_residual(v0, params.alpha, m=1))
         grad_rates.append(gradient_norm_sq(v0) / eps ** 2)
-        try:
-            summary = run(v0, params, stride=config.sample_stride)
-        except BlowUpError as err:
-            return _blow_up_report(report, err, out)
+        summary = run(v0, params, stride=config.sample_stride)
         label = ("%g" % eps).replace(".", "p")
         csv_name = f"family_eps_{label}.csv"
         write_energy_csv(summary.records, os.path.join(out, csv_name))
@@ -436,24 +395,20 @@ def run_scaled_family(config):
     for member in members:
         member.pop("records")
     report["members"] = members
-    return _finish(report, out)
 
 
-def run_alpha_sweep(config):
+@_scenario
+def run_alpha_sweep(config, report):
     """Filtered runs against the unfiltered reference at matched sampling:
     max-over-time Lq distances, their fitted order in the filter width, and
     the measured uniform-bound hypothesis."""
     grid = SpectralGrid(*config.grid)
-    params = _require_params(config)
-    if params.alpha != 0.0:
-        raise ConfigError("alpha-sweep takes its widths from [alpha-sweep]"
-                          " alphas; set [solver] alpha = 0")
+    params = config.params
     q = config.q_exponent
     l = config.l_exponent
     gamma = config.convergence_gamma
     floor = params.beta / 2.0 - gamma
     out = config.output_dir
-    report = _new_report(config)
     n = grid.dim
     report["exponents"] = {
         "l": l, "s": l * n / (n - l * params.beta), "q": q,
@@ -463,23 +418,14 @@ def run_alpha_sweep(config):
     def snap(state):
         return (state.t, state.v.field)
 
-    try:
-        ref = run(v0, params, observers=[snap], stride=config.sample_stride)
-    except BlowUpError as err:
-        _blow_up_report(report, err, out)
-        raise
+    ref = run(v0, params, observers=[snap], stride=config.sample_stride)
     ref_snaps = ref.observations[0]
 
     half = params.beta / 2.0
     entries = []
     for alpha in config.alphas:
         member = dataclasses.replace(params, alpha=alpha)
-        try:
-            summary = run(v0, member, observers=[snap],
-                          stride=config.sample_stride)
-        except BlowUpError as err:
-            _blow_up_report(report, err, out)
-            raise
+        summary = run(v0, member, observers=[snap], stride=config.sample_stride)
         snaps = summary.observations[0]
         dist = bound = 0.0
         for (ta, fa), (tb, fb) in zip(snaps, ref_snaps):
@@ -531,16 +477,14 @@ def run_alpha_sweep(config):
     else:
         _check(report, "distances positive for the order fit", False,
                "a positive-width member matched the reference exactly")
-    return _finish(report, out)
 
 
-def run_filter_check(config):
+@_scenario
+def run_filter_check(config, report):
     """Invariant battery for the smoothing filter and the momentum pairing."""
     grid = SpectralGrid(*config.grid)
     seed = config.seed if config.seed is not None else 0
     rng = np.random.default_rng(seed)
-    out = config.output_dir
-    report = _new_report(config)
 
     fields = [VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape),
                           PHYSICAL) for _ in range(10)]
@@ -580,7 +524,6 @@ def run_filter_check(config):
     report["filter_convergence"] = {"pairs": pairs, "slope": slope}
     _check(report, "filter converges at second order", 1.8 <= slope <= 2.3,
            f"log-log slope {slope:.3f}")
-    return _finish(report, out)
 
 
 def _gaussian_multiplier_route(x, beta):
@@ -595,7 +538,8 @@ def _gaussian_multiplier_route(x, beta):
     return np.sqrt(2.0 / np.pi) * value
 
 
-def run_kernel_check(config):
+@_scenario
+def run_kernel_check(config, report):
     """Invariant battery for the kernel quadrature oracle."""
     # imported here so that the solver's import path never loads scipy
     from .kernels import (
@@ -611,8 +555,6 @@ def run_kernel_check(config):
 
     gamma0 = config.kernel_gamma0
     n = config.kernel_dim
-    out = config.output_dir
-    report = _new_report(config)
     spec = HeatKernelSpec(gamma0, n)
 
     radii = np.linspace(0.0, 6.0, 121)
@@ -669,10 +611,10 @@ def run_kernel_check(config):
     rel = abs(fourier - direct) / direct
     _check(report, "seminorm routes agree", rel <= 1e-2,
            f"fourier {fourier:.6f}, direct {direct:.6f}")
-    return _finish(report, out)
 
 
-def run_selftest(config):
+@_scenario
+def run_selftest(config, report):
     """Fast all-module battery; a fresh checkout passes everything."""
     # imported here so that the solver's import path never loads scipy
     from .kernels import (
@@ -680,7 +622,6 @@ def run_selftest(config):
         normalization_constant)
 
     out = config.output_dir
-    report = _new_report(config)
     started = time.perf_counter()
     grid = SpectralGrid(2, 32, 2.0 * np.pi)
 
@@ -770,7 +711,6 @@ def run_selftest(config):
            abs(anchor - 1.0 / np.pi) <= 1e-12, f"C(1, 1/2) = {anchor:.15f}")
 
     report["wall_time"] = time.perf_counter() - started
-    return _finish(report, out)
 
 
 RUNNERS = {

@@ -284,47 +284,6 @@ def hermitian_defect(field):
     return float(np.max(np.abs(back.imag)))
 
 
-class Multiplier(object):
-    """Even real Fourier symbol applied coefficient-wise.
-
-    The symbol must be a vectorized function of the (dim, ...) wavenumber
-    array.  Evenness (symbol(-k) == symbol(k)) is what keeps real fields
-    real, so it is checked at construction on probe vectors.
-    """
-
-    def __init__(self, symbol, name=None):
-        self.symbol = symbol
-        self.name = name or getattr(symbol, "__name__", "multiplier")
-        probes = np.array([[0.0, 0.7, -1.3, 2.0, 3.9],
-                           [0.0, -2.1, 0.4, 2.0, -1.7],
-                           [0.0, 1.1, -0.6, 2.0, 0.3]])
-        vals = np.asarray(symbol(probes))  # dim-agnostic: 3 rows, extras ignored
-        if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) > 0:
-            raise ValueError("symbol must be real-valued")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("symbol not finite on probe wavenumbers")
-        neg = np.asarray(symbol(-probes))
-        if not np.allclose(vals, neg, rtol=1e-12, atol=0.0):
-            raise ValueError("symbol must be even in k to preserve realness")
-
-    def values_on(self, grid):
-        vals = np.asarray(self.symbol(grid.wavenumbers), dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("symbol not finite on the %r lattice" % (grid,))
-        return vals
-
-    def __repr__(self):
-        return "Multiplier(%s)" % self.name
-
-
-def apply_multiplier(field, mult):
-    """Scale each spectral coefficient by the symbol at its wavenumber."""
-    if not field.is_spectral:
-        raise ValueError("apply_multiplier needs a spectral field")
-    vals = mult.values_on(field.grid)
-    return VectorField(field.grid, field.data * vals, SPECTRAL)
-
-
 def fractional_laplacian_symbol(grid, beta):
     """|k|^(2*beta) on the lattice, with the zero mode explicitly 0."""
     ksq = grid.k_squared
@@ -424,12 +383,3 @@ def dealias(field):
         raise ValueError("dealias acts on spectral fields")
     return VectorField(field.grid, np.where(field.grid.dealias_mask,
                                             field.data, 0.0), SPECTRAL)
-
-
-def zero_mean(field):
-    """Force the k=0 mode to zero (finite-energy velocity convention)."""
-    fh = to_spectral(field)
-    data = fh.data.copy()
-    data[(slice(None),) + (0,) * field.grid.dim] = 0.0
-    out = VectorField(field.grid, data, SPECTRAL)
-    return out if field.is_spectral else to_physical(out)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from fchsim.cli import SUBCOMMANDS, build_parser, main
+from fchsim.cli import build_parser, main
+from fchsim.config import SCENARIOS
 
 PI2 = "6.283185307179586"
 
@@ -37,6 +38,37 @@ seed = 1
 amplitude = 30.0
 """
 
+BLOW_UP_SWEEP_INI = f"""
+[experiment]
+scenario = alpha-sweep
+
+[grid]
+dim = 2
+points = 32
+box_length = {PI2}
+
+[solver]
+nu = 1e-6
+beta = 0.75
+alpha = 0.0
+dt = 0.5
+t_end = 10.0
+
+[datum]
+kind = band-random
+seed = 1
+amplitude = 30.0
+
+[alpha-sweep]
+alphas = 0.2 0.1 0.05
+l_exponent = 2
+"""
+
+# simulate overrides for a 16^2 run; each bad-datum probe adds its own
+SMALL_RUN = ["grid.dim=2", "grid.points=16", "grid.box_length=6.28", "solver.nu=0.1",
+             "solver.beta=0.75", "solver.alpha=0", "solver.dt=0.01",
+             "solver.t_end=0.02"]
+
 FAILING_DECAY_INI = f"""
 [experiment]
 scenario = decay
@@ -62,7 +94,7 @@ seed = 2
 class TestParser:
     def test_every_scenario_has_a_subcommand(self):
         parser = build_parser()
-        for name in SUBCOMMANDS:
+        for name in SCENARIOS:
             args = parser.parse_args([name])
             assert args.scenario == name
 
@@ -145,6 +177,30 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "overflow" in err
+
+    @pytest.mark.parametrize("probe", [
+        ["grid.dim=3", "grid.points=8"],
+        ["datum.kind=band-random", "datum.band_lo=4", "datum.band_hi=2"],
+        ["datum.kind=band-random", "datum.band_lo=40", "datum.band_hi=50"],
+        ["datum.width=-1"],
+        ["datum.kind=scaled-bump", "datum.epsilon=0"],
+    ], ids=["3d-stream-bump", "inverted-band", "empty-band", "negative-width",
+            "zero-epsilon"])
+    def test_bad_datum_exits_two(self, tmp_path, capsys, probe):
+        args = ["simulate", "--out", str(tmp_path)]
+        for entry in SMALL_RUN + probe:
+            args += ["--override", entry]
+        assert main(args) == 2
+        assert "configuration error: bad [datum]" in capsys.readouterr().err
+
+    def test_sweep_blow_up_exits_three(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "sweep.ini", BLOW_UP_SWEEP_INI)
+        code = main(["alpha-sweep", "--config", ini,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "[FAIL] run reached t_end" in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["blow_up"]["t"] == 0.5
 
     def test_blow_up_exits_three(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "sim.ini", BLOW_UP_INI)

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import fchsim
 from fchsim.config import (
     ConfigError,
     ExperimentConfig,
@@ -195,3 +199,32 @@ class TestExperimentConfigValidation:
         assert config.scenario == "selftest"
         assert config.params is None
         assert config.grid[0] == 2
+
+
+def _config_error_raises(path):
+    """(enclosing function, line) of each `raise ConfigError` in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                found.append((function, node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_config_errors_raised_in_config_only():
+    # Every scenario requirement is checked once, at config load; the one
+    # exception turns the datum constructors' ValueErrors into ConfigErrors.
+    package = Path(fchsim.__file__).parent
+    raises = {path.name: _config_error_raises(path)
+              for path in sorted(package.glob("*.py"))}
+    assert len(raises.pop("config.py")) >= 10       # the scan sees raises
+    assert [fn for fn, _ in raises.pop("experiments.py")] == ["make_datum"]
+    assert {name: hits for name, hits in raises.items() if hits} == {}

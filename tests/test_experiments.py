@@ -6,7 +6,7 @@ import pytest
 
 from fchsim.checkpoint import load_checkpoint
 from fchsim.config import ConfigError, ExperimentConfig, load_experiment_config
-from fchsim.diagnostics import EnergyRecord
+from fchsim.diagnostics import EnergyRecord, l2_norm_sq
 from fchsim.experiments import (
     BOX_TRUNCATION_CAVEAT,
     RUNNERS,
@@ -69,14 +69,16 @@ class TestHelpers:
             config_for("scaled-family", tmp_path, epsilons=(1.0, 1.0))
         with pytest.raises(ConfigError, match="positive"):
             config_for("scaled-family", tmp_path, epsilons=(1.0, -0.5))
-        config = config_for("scaled-family", tmp_path, epsilons=[1, 0.5])
+        config = config_for("scaled-family", tmp_path, epsilons=[1, 0.5],
+                            grid=(2, 80, 50.0), params=small_params(),
+                            datum={"width": 3.0})
         assert tuple(config.epsilons) == (1.0, 0.5)
 
 
 class TestMakeDatum:
     def test_stream_bump_default(self, tmp_path):
         grid = SpectralGrid(2, 32, TWO_PI)
-        config = config_for("simulate", tmp_path,
+        config = config_for("simulate", tmp_path, params=small_params(),
                             datum={"kind": "stream-bump", "width": 0.7,
                                    "peak_speed": 2.0})
         v = make_datum(config, grid)
@@ -85,7 +87,7 @@ class TestMakeDatum:
 
     def test_band_random_seeded(self, tmp_path):
         grid = SpectralGrid(2, 32, TWO_PI)
-        config = config_for("simulate", tmp_path,
+        config = config_for("simulate", tmp_path, params=small_params(),
                             datum={"kind": "band-random", "seed": 4},
                             seed=9)
         a = make_datum(config, grid)
@@ -94,9 +96,9 @@ class TestMakeDatum:
 
     def test_config_seed_fallback(self, tmp_path):
         grid = SpectralGrid(2, 32, TWO_PI)
-        with_cfg = config_for("simulate", tmp_path,
+        with_cfg = config_for("simulate", tmp_path, params=small_params(),
                               datum={"kind": "band-random"}, seed=9)
-        explicit = config_for("simulate", tmp_path,
+        explicit = config_for("simulate", tmp_path, params=small_params(),
                               datum={"kind": "band-random", "seed": 9})
         assert np.array_equal(make_datum(with_cfg, grid).data,
                               make_datum(explicit, grid).data)
@@ -115,11 +117,9 @@ class TestMakeDatum:
         assert np.array_equal(datum(7), datum(None))
 
     def test_foreign_keys_rejected(self, tmp_path):
-        grid = SpectralGrid(2, 32, TWO_PI)
-        config = config_for("simulate", tmp_path,
-                            datum={"kind": "stream-bump", "band_lo": 2.0})
         with pytest.raises(ConfigError, match="band_lo"):
-            make_datum(config, grid)
+            config_for("simulate", tmp_path, params=small_params(),
+                       datum={"kind": "stream-bump", "band_lo": 2.0})
 
     def test_scenario_default_kind(self, tmp_path):
         grid = SpectralGrid(2, 32, TWO_PI)
@@ -160,9 +160,9 @@ class TestSimulate:
         assert (tmp_path / "energy.csv").exists()
 
     def test_missing_solver_section(self, tmp_path):
-        config = config_for("simulate", tmp_path)
-        with pytest.raises(ConfigError, match="solver"):
-            run_simulate(config)
+        for scenario in ("simulate", "decay"):
+            with pytest.raises(ConfigError, match="solver"):
+                config_for(scenario, tmp_path)
 
 
 class TestDecay:
@@ -194,10 +194,9 @@ class TestDecay:
         assert (tmp_path / "energy.csv").exists()
 
     def test_three_dimensional_rejected(self, tmp_path):
-        config = config_for("decay", tmp_path, grid=(3, 16, TWO_PI),
-                            params=small_params())
         with pytest.raises(ConfigError, match="two-dimensional"):
-            run_decay_experiment(config)
+            config_for("decay", tmp_path, grid=(3, 16, TWO_PI),
+                       params=small_params())
 
     def test_csv_deterministic(self, tmp_path):
         outs = []
@@ -232,29 +231,37 @@ class TestScaledFamily:
         for member in report["members"]:
             assert (tmp_path / member["csv"]).exists()
 
+    def test_base_member_is_the_configured_datum(self, tmp_path):
+        # one [datum] section, one field: the family builds its members with
+        # make_datum, from the same defaults (here peak_speed = 1), and the
+        # report's config block keeps only what was set
+        config = self.family_config(
+            tmp_path, datum={"width": 3.0},
+            params=SolverParams(nu=2.0, beta=1.0, alpha=1.0, dt=0.1, t_end=0.2))
+        report = run_scaled_family(config)
+        base = make_datum(config, SpectralGrid(*config.grid), eps=1.0)
+        assert report["u0_l2_sq"] == l2_norm_sq(base)
+        assert report["config"]["datum"] == {"width": 3.0}
+
     def test_under_resolved_member_rejected(self, tmp_path):
-        config = self.family_config(tmp_path, epsilons=(1.0, 0.1))
         with pytest.raises(ConfigError, match="too close to the box"):
-            run_scaled_family(config)
+            self.family_config(tmp_path, epsilons=(1.0, 0.1))
 
     def test_narrow_member_rejected(self, tmp_path):
-        config = self.family_config(
-            tmp_path, datum={"kind": "scaled-bump", "width": 1.0})
         with pytest.raises(ConfigError, match="under four"):
-            run_scaled_family(config)
+            self.family_config(
+                tmp_path, datum={"kind": "scaled-bump", "width": 1.0})
 
     def test_wrong_datum_kind_rejected(self, tmp_path):
-        config = self.family_config(tmp_path,
-                                    datum={"kind": "band-random"})
         with pytest.raises(ConfigError, match="scaled-bump"):
-            run_scaled_family(config)
+            self.family_config(tmp_path, datum={"kind": "band-random"})
 
 
 class TestAlphaSweep:
-    def sweep_config(self, tmp_path, alphas=(0.2, 0.1, 0.05, 0.0)):
+    def sweep_config(self, tmp_path, alphas=(0.2, 0.1, 0.05, 0.0), alpha=0.0):
         return config_for(
             "alpha-sweep", tmp_path, grid=(2, 64, TWO_PI),
-            params=SolverParams(nu=0.02, beta=0.75, alpha=0.0, dt=5e-3,
+            params=SolverParams(nu=0.02, beta=0.75, alpha=alpha, dt=5e-3,
                                 t_end=0.25),
             datum={"kind": "band-random", "seed": 7},
             alphas=alphas, l_exponent=2.0, sample_stride=5)
@@ -273,11 +280,8 @@ class TestAlphaSweep:
         assert (tmp_path / "distances.csv").exists()
 
     def test_solver_alpha_must_be_zero(self, tmp_path):
-        config = self.sweep_config(tmp_path)
-        config.params = SolverParams(nu=0.02, beta=0.75, alpha=0.1, dt=5e-3,
-                                     t_end=0.25)
         with pytest.raises(ConfigError, match="alpha = 0"):
-            run_alpha_sweep(config)
+            self.sweep_config(tmp_path, alpha=0.1)
 
 
 class TestBatteries:

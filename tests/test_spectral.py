@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import fchsim
 from fchsim.spectral import (
-    SpectralGrid, VectorField, Multiplier,
+    SpectralGrid, VectorField,
     transform, to_spectral, to_physical, hermitian_defect,
-    apply_multiplier, fractional_laplacian,
-    gradient, divergence, laplacian, dealias, zero_mean,
+    fractional_laplacian,
+    gradient, divergence, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
 )
 from conftest import random_field
@@ -103,22 +103,6 @@ def test_transform_direction_contract(grid32):
         transform(f, "sideways")
 
 
-def test_multiplier_identity(grid32):
-    f = to_spectral(random_field(grid32, seed=2))
-    ident = Multiplier(lambda k: np.ones(k.shape[1:]), "one")
-    g = apply_multiplier(f, ident)
-    assert np.array_equal(g.data, f.data)
-
-
-def test_multiplier_minus_laplace_eigenvalue():
-    g = SpectralGrid(2, 16, 2.0 * np.pi)
-    f = VectorField.zeros(g, "spectral")
-    f.data[0][3, 0] = 1.0
-    mult = Multiplier(lambda k: np.sum(k * k, axis=0), "ksq")
-    out = apply_multiplier(f, mult)
-    assert abs(out.data[0][3, 0] - 9.0) < 1e-14
-
-
 def test_multiplier_fractional_symbol():
     g = SpectralGrid(2, 16, 2.0 * np.pi)
     f = VectorField.zeros(g, "spectral")
@@ -126,17 +110,6 @@ def test_multiplier_fractional_symbol():
     out = fractional_laplacian(f, 0.5)
     # |k|^{2*0.5} = 4 at mode (0, 4)
     assert abs(out.data[0][0, 4] - 4.0) < 1e-14
-
-
-def test_multiplier_rejects_odd_symbol():
-    with pytest.raises(ValueError):
-        Multiplier(lambda k: k[0], "odd")
-
-
-def test_multiplier_rejects_singular_symbol():
-    with np.errstate(divide="ignore"):
-        with pytest.raises(ValueError):
-            Multiplier(lambda k: 1.0 / np.sum(k * k, axis=0), "inv ksq")
 
 
 def test_fractional_laplacian_constant_annihilated(grid32):
@@ -271,14 +244,6 @@ def test_realness_preserved(grid32):
     fh = to_spectral(f)
     out = fractional_laplacian(fh, 0.8)
     assert hermitian_defect(out) <= 1e-12 * np.max(np.abs(f.data))
-
-
-def test_zero_mean(grid32):
-    f = random_field(grid32, seed=31) + VectorField(
-        grid32, np.full((2,) + grid32.shape, 0.7), "physical")
-    zm = zero_mean(f)
-    assert abs(np.mean(zm.data[0])) < 1e-13
-    assert abs(np.mean(zm.data[1])) < 1e-13
 
 
 # The two real-data DFT helpers against numpy's complex-to-complex transforms,

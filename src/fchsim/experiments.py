@@ -32,7 +32,7 @@ from .diagnostics import (
     solution_distance,
     time_average_decay_check,
 )
-from .fields import ch_nonlinear_term
+from .fields import ch_nonlinear_term, map_on_worker
 from .helmholtz import apply_filter, filter_convergence_curve, filter_identity_residual
 from .integrate import (
     BlowUpError,
@@ -324,35 +324,43 @@ def run_scaled_family(config, report):
     report["u0_l2_sq"] = base_l2
     alpha2 = params.alpha ** 2
 
+    def member(eps):
+        u0 = make_datum(config, grid, eps=eps)
+        vh = to_spectral(u0).data * (1.0 + alpha2 * grid.k_squared)
+        v0 = VectorField(grid, vh, SPECTRAL)
+        return {
+            "eps": eps,
+            "l2_deviation": abs(np.sqrt(l2_norm_sq(u0) / base_l2) - 1.0),
+            "grad_deviation": abs(
+                np.sqrt(gradient_norm_sq(u0) / base_grad) / eps - 1.0),
+            "identity": filter_identity_residual(v0, params.alpha, m=1),
+            "grad_rate": gradient_norm_sq(v0) / eps ** 2,
+            "records": run(v0, params, stride=config.sample_stride).records,
+        }
+
     members = []
     worst_l2 = worst_grad = worst_identity = 0.0
     grad_rates = []
-    for eps in config.epsilons:
-        u0 = make_datum(config, grid, eps=eps)
-        worst_l2 = max(worst_l2, abs(np.sqrt(l2_norm_sq(u0) / base_l2) - 1.0))
-        worst_grad = max(
-            worst_grad,
-            abs(np.sqrt(gradient_norm_sq(u0) / base_grad) / eps - 1.0))
-        vh = to_spectral(u0).data * (1.0 + alpha2 * grid.k_squared)
-        v0 = VectorField(grid, vh, SPECTRAL)
-        worst_identity = max(worst_identity,
-                             filter_identity_residual(v0, params.alpha, m=1))
-        grad_rates.append(gradient_norm_sq(v0) / eps ** 2)
-        summary = run(v0, params, stride=config.sample_stride)
+    for result in map_on_worker(member, config.epsilons):
+        eps, records = result["eps"], result["records"]
+        worst_l2 = max(worst_l2, result["l2_deviation"])
+        worst_grad = max(worst_grad, result["grad_deviation"])
+        worst_identity = max(worst_identity, result["identity"])
+        grad_rates.append(result["grad_rate"])
         label = ("%g" % eps).replace(".", "p")
         csv_name = f"family_eps_{label}.csv"
-        write_energy_csv(summary.records, os.path.join(out, csv_name))
+        write_energy_csv(records, os.path.join(out, csv_name))
         deficit_rate = max(
             ((base_l2 - rec.E) / (eps ** 2 * rec.t)
-             for rec in summary.records if rec.t > 0.0), default=0.0)
+             for rec in records if rec.t > 0.0), default=0.0)
         deficit_rate = max(deficit_rate, 0.0)
         members.append({
             "eps": eps,
             "csv": csv_name,
-            "E0": summary.records[0].E,
-            "half_life": _half_life(summary.records),
+            "E0": records[0].E,
+            "half_life": _half_life(records),
             "deficit_rate": deficit_rate,
-            "records": summary.records,
+            "records": records,
         })
 
     _check(report, "family L2 norm invariant", worst_l2 <= 1e-6,
@@ -418,24 +426,32 @@ def run_alpha_sweep(config, report):
     def snap(state):
         return (state.t, state.v.field)
 
-    ref = run(v0, params, observers=[snap], stride=config.sample_stride)
-    ref_snaps = ref.observations[0]
-
+    ref_snaps = run(v0, params, observers=[snap],
+                    stride=config.sample_stride).observations[0]
     half = params.beta / 2.0
-    entries = []
-    for alpha in config.alphas:
-        member = dataclasses.replace(params, alpha=alpha)
-        summary = run(v0, member, observers=[snap], stride=config.sample_stride)
-        snaps = summary.observations[0]
+
+    def member(alpha):
+        """Fold the distance to the reference and the uniform bound over
+        the samples as they arrive."""
         dist = bound = 0.0
-        for (ta, fa), (tb, fb) in zip(snaps, ref_snaps):
-            if abs(ta - tb) > 1e-9:
+        sampled = 0
+
+        def fold(state):
+            nonlocal dist, bound, sampled
+            tb, fb = ref_snaps[sampled]
+            sampled += 1
+            if abs(state.t - tb) > 1e-9:
                 raise RuntimeError("sample times diverged between runs")
+            fa = state.v.field
             dist = max(dist, solution_distance(fa, fb, q))
             bound = max(bound, lp_norm(fa, l)
                         + lp_norm(fractional_laplacian(fa, half), l))
-        entries.append({"alpha": alpha, "max_distance": dist,
-                        "uniform_bound": bound})
+
+        run(v0, dataclasses.replace(params, alpha=alpha), observers=[fold],
+            stride=config.sample_stride)
+        return {"alpha": alpha, "max_distance": dist, "uniform_bound": bound}
+
+    entries = list(map_on_worker(member, config.alphas))
     report["members"] = entries
     report["uniform_bound_sup"] = max(e["uniform_bound"] for e in entries)
     report["notes"] = [

@@ -2,7 +2,9 @@
 
 Leray projection onto divergence-free fields, the filtered-advection
 nonlinear term u.grad(v) + v.grad(u)^T, the symmetrization identity
-behind pressure elimination, and diagnostic pressure recovery.
+behind pressure elimination, and diagnostic pressure recovery.  The module
+also owns the process's one worker thread, which runs the second lane of
+the nonlinear term or a share of the items of map_on_worker.
 
 Index convention used throughout: (v.grad(u)^T)_i = sum_j v_j d_i u_j,
 while (u.grad(v))_i = sum_j u_j d_j v_i.
@@ -25,10 +27,14 @@ from .spectral import (
 # 40 interleaved calls: 64^2 2.3 -> 2.9 ms, 128^2 10.2 -> 9.4 ms, 256^2
 # 36.8 -> 31.3 ms, 512^2 151 -> 118 ms, 48^3 (alpha = 0) 88 -> 70 ms.
 # Below 2^16 points the hand-off saves under a millisecond per call, or
-# costs, so small grids (the 128^2 alpha sweep among them) stay on one.
+# costs, so small grids stay on one thread; the 128^2 alpha sweep uses the
+# second core through map_on_worker instead.
 THREADED_MIN_POINTS = 2 ** 16
+# The one worker thread, shared by the lanes and by map_on_worker, and
+# whether a map holds it.
 _POOL = None
 _POOL_LOCK = threading.Lock()
+_MAP_BUSY = False
 
 
 @dataclass
@@ -132,25 +138,112 @@ def _cpu_count():
 
 
 def _forget_pool():
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    global _POOL, _POOL_LOCK, _MAP_BUSY
+    _POOL, _POOL_LOCK, _MAP_BUSY = None, threading.Lock(), False
+
+
+def _start_worker():
+    """The one-thread pool, started on first use; a forked child, which
+    inherits the pool but not its thread, starts its own.  Call it with
+    _POOL_LOCK held."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max_workers=1,
+                                   thread_name_prefix="fchsim-lane")
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=_forget_pool)
+    return _POOL
 
 
 def _lane_pool(grid):
-    """The one-thread pool that runs the second lane, or None to run both
-    lanes on the calling thread.  The thread starts on first use; a forked
-    child, which inherits the pool but not its thread, starts its own."""
-    global _POOL
-    if grid.points_per_axis ** grid.dim < THREADED_MIN_POINTS or _cpu_count() < 2:
+    """The pool that runs the second lane, or None to run both lanes on the
+    calling thread: on small grids, on one CPU, and while map_on_worker
+    runs, since its worker may be running the caller itself."""
+    if (_MAP_BUSY or grid.points_per_axis ** grid.dim < THREADED_MIN_POINTS
+            or _cpu_count() < 2):
         return None
     with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(max_workers=1,
-                                       thread_name_prefix="fchsim-lane")
-            if hasattr(os, "register_at_fork"):
-                os.register_at_fork(after_in_child=_forget_pool)
-        return _POOL
+        return _start_worker()
+
+
+def _map_pool():
+    """The pool, now held by a map, or None when a map already holds it."""
+    global _MAP_BUSY
+    with _POOL_LOCK:
+        if _MAP_BUSY:
+            return None
+        _MAP_BUSY = True
+        return _start_worker()
+
+
+def map_on_worker(fn, items):
+    """Yield fn(item) for every item, in item order, sharing the items
+    between the calling thread and the worker.
+
+    Whichever thread is free claims the next item, so each result is the
+    one a plain loop gives, bit for bit.  The first failure in item order
+    is raised where its result would be yielded, once the worker has ended
+    its item; after a failure neither thread starts an item.  While the map
+    runs every caller's lanes run inline (_lane_pool).  On one CPU, for
+    fewer than two items, or inside a running map, this is a plain loop.
+    The map ends, and frees the worker, when the iterator is exhausted or
+    closed.
+    """
+    global _MAP_BUSY
+    items = list(items)
+    pool = _map_pool() if len(items) > 1 and _cpu_count() > 1 else None
+    if pool is None:
+        for item in items:
+            yield fn(item)
+        return
+    state = threading.Condition()
+    outcomes = [None] * len(items)       # (ok, result or exception)
+    unclaimed = iter(range(len(items)))
+    stop = False
+
+    def claim():
+        with state:
+            return None if stop else next(unclaimed, None)
+
+    def finish(index):
+        nonlocal stop
+        try:
+            outcome = (True, fn(items[index]))
+        except BaseException as exc:
+            outcome = (False, exc)
+        with state:
+            outcomes[index] = outcome
+            stop = stop or not outcome[0]
+            state.notify_all()
+
+    def work():
+        while (index := claim()) is not None:
+            finish(index)
+
+    pending = None
+    try:
+        pending = pool.submit(work)
+        for k in range(len(items)):
+            # Items are claimed in order, so item k is claimed and ends;
+            # while it runs on the worker, this thread takes the next one.
+            while outcomes[k] is None:
+                index = claim()
+                if index is None:
+                    with state:
+                        state.wait_for(lambda: outcomes[k] is not None)
+                else:
+                    finish(index)
+            ok, result = outcomes[k]
+            if not ok:
+                raise result
+            yield result
+    finally:
+        with state:
+            stop = True
+        if pending is not None:
+            pending.result()
+        _MAP_BUSY = False
 
 
 def ch_nonlinear_term(u, v, dealias=True):

@@ -173,14 +173,6 @@ def _advance(state, h, factors, rhs):
     return SimState(t_next, ProjectedField(VectorField(grid, new, SPECTRAL)))
 
 
-def step_ch_alpha(state, params, dt=None):
-    """One step of the filtered system (advecting velocity = filtered v)."""
-    grid = state.grid
-    h = params.dt if dt is None else dt
-    return _advance(state, h, _integrating_factors(grid, params, h),
-                    _rhs_filtered(grid, params.alpha, params.dealias))
-
-
 def prepare_initial_state(initial, params):
     """Project and (optionally) dealias a datum into a valid t = 0 state."""
     if isinstance(initial, ProjectedField):

@@ -1,10 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fchsim import experiments, fields
 from fchsim.checkpoint import load_checkpoint
+from fchsim.cli import main
 from fchsim.config import ConfigError, ExperimentConfig, load_experiment_config
 from fchsim.diagnostics import EnergyRecord, l2_norm_sq
 from fchsim.experiments import (
@@ -21,7 +27,7 @@ from fchsim.experiments import (
     write_energy_csv,
     write_report,
 )
-from fchsim.integrate import SolverParams
+from fchsim.integrate import BlowUpError, SolverParams
 from fchsim.spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
@@ -303,3 +309,157 @@ class TestBatteries:
         report = run_selftest(config)
         assert report["passed"] is True
         assert os.path.exists(tmp_path / "report.json")
+
+
+# Members spread over two threads: a forced blow-up of one non-first member
+# must leave the artifacts and exit code of the one-thread run, which stops at
+# that member with the earlier members' files written.
+MEMBER_BLOW_UP_INI = {
+    "alpha-sweep": """
+[experiment]
+scenario = alpha-sweep
+sample_stride = 2
+[grid]
+dim = 2
+points = 32
+box_length = 6.283185307179586
+[solver]
+nu = 0.02
+beta = 0.75
+alpha = 0
+dt = 0.005
+t_end = 0.05
+[datum]
+kind = band-random
+seed = 7
+[alpha-sweep]
+alphas = 0.2 0.1 0.05 0.025
+l_exponent = 2
+""",
+    "scaled-family": """
+[experiment]
+scenario = scaled-family
+sample_stride = 2
+[grid]
+dim = 2
+points = 64
+box_length = 100
+[solver]
+nu = 2.0
+beta = 1.0
+alpha = 1.0
+dt = 0.1
+t_end = 0.6
+[datum]
+kind = scaled-bump
+width = 8
+peak_speed = 0.05
+[scaled-family]
+epsilons = 1 0.75 0.5
+""",
+}
+# The member that blows up, and the files the one-thread run leaves.
+FORCED_MEMBER = {"alpha-sweep": 0.1, "scaled-family": 0.75}
+LEFT_FILES = {"alpha-sweep": ["energy.csv", "report.json"],
+              "scaled-family": ["energy.csv", "family_eps_1.csv", "report.json"]}
+
+
+def _force_member_blow_up(monkeypatch, scenario):
+    """Blow up the chosen member at its last step; sweep members are told
+    apart by their width, family members by the eps of their datum."""
+    member = threading.local()
+    make = experiments.make_datum
+    run = experiments.run
+
+    def make_datum(config, grid, eps=None):
+        member.eps = eps
+        return make(config, grid, eps)
+
+    def forced_run(initial, params, **kw):
+        summary = run(initial, params, **kw)
+        key = params.alpha if scenario == "alpha-sweep" else member.eps
+        if key == FORCED_MEMBER[scenario]:
+            raise BlowUpError(summary.state.t, "forced", summary.records)
+        return summary
+
+    monkeypatch.setattr(experiments, "make_datum", make_datum)
+    monkeypatch.setattr(experiments, "run", forced_run)
+
+
+def _artifacts(out):
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    report = json.loads(files.pop("report.json"))
+    report.pop("wall_time", None)
+    report["config"].pop("output_dir")
+    return report, files
+
+
+@pytest.mark.parametrize("scenario", ["alpha-sweep", "scaled-family"])
+def test_member_blow_up_leaves_the_one_thread_artifacts(tmp_path, monkeypatch,
+                                                        scenario):
+    ini = tmp_path / "run.ini"
+    ini.write_text(MEMBER_BLOW_UP_INI[scenario])
+    _force_member_blow_up(monkeypatch, scenario)
+    results = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(fields, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code = main([scenario, "--config", str(ini), "--out", str(out)])
+        results[cpus] = (code, sorted(p.name for p in out.iterdir()),
+                         _artifacts(out))
+    assert results[2] == results[1]
+    code, names, (report, _) = results[1]
+    assert code == 3 and names == LEFT_FILES[scenario]
+    assert report["blow_up"]["reason"] == "forced"
+
+
+NO_DEADLOCK_SCRIPT = """
+import json, sys, threading
+from fchsim import experiments, fields
+from fchsim.config import ExperimentConfig
+from fchsim.integrate import SolverParams, band_random
+from fchsim.spectral import SpectralGrid
+
+fields._cpu_count = lambda: 2          # even on one CPU
+calls = []
+add_terms = fields._add_terms
+
+def spy(job):
+    calls.append((threading.current_thread().name, len(job[5])))
+    add_terms(job)
+
+fields._add_terms = spy
+grid = SpectralGrid(2, 256, 100.0)
+config = ExperimentConfig(
+    scenario="scaled-family", output_dir=sys.argv[1], grid=(2, 256, 100.0),
+    params=SolverParams(nu=2.0, beta=1.0, alpha=1.0, dt=0.04, t_end=0.08),
+    datum={"kind": "scaled-bump", "width": 3.0, "peak_speed": 0.05},
+    epsilons=(1.0, 0.5), sample_stride=2)
+experiments.run_scaled_family(config)
+during, calls[:] = list(calls), []
+u = band_random(grid, seed=3)
+fields.ch_nonlinear_term(u, u)
+print(json.dumps({"during": during, "after": calls, "workers": sum(
+    t.name.startswith("fchsim-lane") for t in threading.enumerate())}))
+"""
+
+
+def test_family_map_at_two_lane_size_does_not_deadlock(tmp_path):
+    # 256^2 reaches fields.THREADED_MIN_POINTS: a member on the worker must
+    # not hand its lane to itself, so every product of the map runs both
+    # lanes on its own thread, and the lanes use the worker again after it
+    src = Path(experiments.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_DEADLOCK_SCRIPT, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    both_lanes = 2 * 2 * 2                  # 2 components x 2 axes x 2 terms
+    assert {terms for _, terms in seen["during"]} == {both_lanes}
+    threads = {name.startswith("fchsim-lane") for name, _ in seen["during"]}
+    assert threads == {False, True}         # the members used both threads
+    assert sorted(name.startswith("fchsim-lane") for name, _ in seen["after"]) \
+        == [False, True]
+    assert seen["workers"] == 1

@@ -1,7 +1,10 @@
 import os
+import re
 import signal
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from fchsim.spectral import (
     to_spectral,
 )
 from fchsim.fields import (
-    ch_nonlinear_term, divergence_defect, leray_project, recover_pressure,
-    symmetrized_identity_check, _jacobian_physical,
+    ch_nonlinear_term, divergence_defect, leray_project, map_on_worker,
+    recover_pressure, symmetrized_identity_check, _jacobian_physical,
 )
 from fchsim.integrate import band_random
 from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq
@@ -186,6 +189,123 @@ def test_forked_child_starts_its_own_worker(monkeypatch):
         status = 0 if np.array_equal(ch_nonlinear_term(u, v).data, expected) else 1
         os._exit(status)
     assert os.waitpid(pid, 0)[1] == 0
+
+
+def _on_worker():
+    return threading.current_thread().name.startswith("fchsim-lane")
+
+
+def test_map_yields_in_item_order_from_both_threads(monkeypatch):
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)   # even on one CPU
+    ran_on = {}
+
+    def square(item):
+        time.sleep(0.02 * (item % 3))
+        ran_on[item] = _on_worker()
+        return item * item
+
+    assert list(map_on_worker(square, range(8))) == [i * i for i in range(8)]
+    assert set(ran_on.values()) == {False, True}
+    assert fields._MAP_BUSY is False
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_map_raises_the_earlier_of_two_failures(monkeypatch, cpus):
+    # item 1 fails first in time, item 0 first in item order
+    monkeypatch.setattr(fields, "_cpu_count", lambda: cpus)
+
+    def fail(item):
+        if item == 0:
+            time.sleep(0.2)
+        raise ValueError(item)
+
+    with pytest.raises(ValueError) as info:
+        list(map_on_worker(fail, [0, 1]))
+    assert info.value.args == (0,)
+    assert fields._MAP_BUSY is False
+
+
+def test_map_starts_no_item_after_a_failure(monkeypatch):
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    started = []
+
+    def work(item):
+        started.append(item)
+        if item == 1:
+            raise ValueError(item)
+        time.sleep(0.2)
+        return item
+
+    results = []
+    with pytest.raises(ValueError):
+        for result in map_on_worker(work, range(8)):
+            results.append(result)
+    assert results == [0]          # the items before the failure, in order
+    assert sorted(started) == [0, 1]
+
+
+def test_lanes_and_nested_maps_run_inline_during_a_map(monkeypatch):
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    grid = SpectralGrid(2, 256, 2 * np.pi)
+    assert fields._lane_pool(grid) is not None
+
+    def probe(item):
+        nested = list(map_on_worker(lambda _: _on_worker(), range(3)))
+        return fields._lane_pool(grid), nested, _on_worker()
+
+    for pool, nested, on_worker in map_on_worker(probe, range(2)):
+        assert pool is None
+        assert nested == [on_worker] * 3       # a plain loop on this thread
+    assert fields._lane_pool(grid) is not None
+    assert fields._MAP_BUSY is False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_forked_during_a_map_runs_lanes_on_its_own_worker(monkeypatch):
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    u, v = _product_pair(2, 256, 0.1)
+    expected = ch_nonlinear_term(u, v).data
+    lanes_on_worker = []
+    add_terms = fields._add_terms
+
+    def spy(job):
+        lanes_on_worker.append(_on_worker())
+        add_terms(job)
+
+    monkeypatch.setattr(fields, "_add_terms", spy)
+    barrier = threading.Barrier(2, timeout=60)   # one item on each thread
+
+    def item(_):
+        barrier.wait()
+        if _on_worker():
+            return None
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.alarm(60)
+                lanes_on_worker.clear()
+                same = np.array_equal(ch_nonlinear_term(u, v).data, expected)
+                status = 0 if same and sorted(lanes_on_worker) == [False, True] else 1
+            finally:
+                os._exit(status)
+        return os.waitpid(pid, 0)[1]
+
+    assert fields._lane_pool(u.grid) is not None
+    statuses = list(map_on_worker(item, range(2)))
+    assert set(statuses) == {0, None}      # the child exited 0
+
+
+_THREAD_START = re.compile(r"\b(?:ThreadPoolExecutor|Thread)\s*\(")
+
+
+def test_threads_start_in_fields_only():
+    # One worker thread: only fields.py constructs a pool or a thread.
+    package = Path(fields.__file__).parent
+    starts = {path.name: len(_THREAD_START.findall(path.read_text()))
+              for path in sorted(package.glob("*.py"))}
+    assert starts["fields.py"] >= 1             # the scan sees the pool
+    assert {name for name, hits in starts.items() if hits} == {"fields.py"}
 
 
 @pytest.mark.parametrize("seed", range(10))

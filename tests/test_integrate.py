@@ -6,6 +6,7 @@ import pytest
 from fchsim.diagnostics import gradient_norm_sq, l2_norm_sq
 from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
 from fchsim.integrate import (
+    _advance,
     _ifrk4,
     _integrating_factors,
     _rhs_filtered,
@@ -17,7 +18,6 @@ from fchsim.integrate import (
     prepare_initial_state,
     run,
     scaled_bump,
-    step_ch_alpha,
     stream_bump,
 )
 from fchsim.spectral import SpectralGrid, VectorField, hermitian_defect, to_physical, to_spectral
@@ -29,6 +29,13 @@ def make_params(**kw):
     base = dict(nu=0.1, beta=0.75, alpha=0.5, dt=0.01, t_end=0.1)
     base.update(kw)
     return SolverParams(**base)
+
+
+def stepper(grid, params):
+    """One step of length params.dt, as run takes it."""
+    factors = _integrating_factors(grid, params, params.dt)
+    rhs = _rhs_filtered(grid, params.alpha, params.dealias)
+    return lambda state: _advance(state, params.dt, factors, rhs)
 
 
 def test_params_validation():
@@ -60,8 +67,9 @@ def test_zero_field_stays_zero(grid32):
     for alpha in (0.5, 0.0):
         params = make_params(alpha=alpha)
         state = prepare_initial_state(VectorField.zeros(grid32), params)
+        step = stepper(grid32, params)
         for _ in range(3):
-            state = step_ch_alpha(state, params)
+            state = step(state)
         assert np.all(state.v.field.data == 0)
 
 
@@ -73,8 +81,9 @@ def test_single_mode_linear_decay_exact(grid32):
     v0 = VectorField(grid32, np.stack([a * np.cos(2 * x[1]), np.zeros(grid32.shape)]), "physical")
     params = make_params(nu=1.0, beta=0.5, alpha=0.3, dt=0.01, t_end=0.5)
     state = prepare_initial_state(v0, params)
+    step = stepper(grid32, params)
     for _ in range(50):
-        state = step_ch_alpha(state, params)
+        state = step(state)
     peak = np.max(np.abs(to_physical(state.v.field).data))
     expected = a * np.exp(-2.0 * 0.5)  # |k|^(2 beta) = 2
     assert abs(peak - expected) / expected <= 1e-12
@@ -86,12 +95,13 @@ def test_alpha_zero_matches_plain_stepper(grid32):
     v0 = random_divfree(grid32, seed=5, amplitude=0.5, band=(1.0, 6.0))
     params = make_params(alpha=0.0, nu=0.05, dt=0.005)
     state = prepare_initial_state(v0, params)
+    step = stepper(grid32, params)
     for _ in range(20):
         v = to_physical(state.v.field)
         filtered = leray_project(ch_nonlinear_term(v, v)).field.data
         plain = leray_project(advection_term(v)).field.data
         assert np.max(np.abs(filtered - plain)) / np.max(np.abs(plain)) <= 1e-12
-        state = step_ch_alpha(state, params)
+        state = step(state)
 
 
 def test_self_convergence_order_at_least_two(grid32):

@@ -17,18 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    SPECTRAL, VectorField, dealias as dealias_modes, real_forward, real_inverse,
-    to_physical, to_spectral, _scalar_forward, _scalar_inverse,
+    SPECTRAL, VectorField, dealias as dealias_modes, half_derivative_multipliers,
+    inverse_buffer, real_forward, real_inverse, to_physical, to_spectral,
+    _scalar_forward, _scalar_inverse,
 )
 
 # ch_nonlinear_term runs its second lane on a worker thread only when a
 # scalar transform has at least this many points and the process may use
 # two CPUs.  One RHS on a 2-core host, one thread -> two lanes, medians of
-# 40 interleaved calls: 64^2 2.3 -> 2.9 ms, 128^2 10.2 -> 9.4 ms, 256^2
-# 36.8 -> 31.3 ms, 512^2 151 -> 118 ms, 48^3 (alpha = 0) 88 -> 70 ms.
-# Below 2^16 points the hand-off saves under a millisecond per call, or
-# costs, so small grids stay on one thread; the 128^2 alpha sweep uses the
-# second core through map_on_worker instead.
+# interleaved calls (200 at 128^2, 60 at 256^2, 40 above) in two runs:
+# 128^2 8.4 -> 8.1 and 8.1 -> 7.9 ms, 256^2 22.1 -> 22.1 and 29.4 -> 26.7 ms,
+# 512^2 110 -> 97 and 132 -> 111 ms, 48^3 (alpha = 0) 125 -> 107 and
+# 114 -> 95 ms.  Below 2^16 points the hand-off saves under a millisecond
+# per call, so small grids stay on one thread; the 128^2 alpha sweep uses
+# the second core through map_on_worker instead.
 THREADED_MIN_POINTS = 2 ** 16
 # The one worker thread, shared by the lanes and by map_on_worker, and
 # whether a map holds it.
@@ -106,9 +108,10 @@ def _lanes(dim):
 def _lane_buffers(grid):
     """One reused spectral and one reused physical buffer for a lane.
 
-    The spectrum stays 0 past the modes the inverse reads.
+    The spectrum, held in transform order, stays 0 past the modes the
+    inverse reads.
     """
-    return [np.zeros(grid.shape, np.complex128), np.empty(grid.shape)]
+    return [inverse_buffer(grid.shape, range(grid.dim)), np.empty(grid.shape)]
 
 
 def _add_terms(job):
@@ -266,10 +269,11 @@ def ch_nonlinear_term(u, v, dealias=True):
     dim = grid.dim
     axes = tuple(range(1, dim + 1))
     # The inverse reads only the modes 0 <= m <= N/2 of the last axis, so
-    # the derivative spectra are formed there alone.
+    # the derivative spectra are formed there alone, all in the transform
+    # order of the half spectra.
     uh = real_forward(u.data, axes, half=True)
     vh = real_forward(v.data, axes, half=True)
-    ik = 1j * grid.derivative_wavenumbers[..., :uh.shape[-1]]
+    ik = half_derivative_multipliers(grid)
     out = np.zeros((dim,) + grid.shape)
     first, second = _lanes(dim)
     shared = [uh, vh, u.data, v.data, ik]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diagnostics import lp_norm
-from .spectral import SPECTRAL, VectorField, to_physical, to_spectral
+from .spectral import SPECTRAL, VectorField, physical_multiply, to_spectral
 
 
 def _check_width(alpha):
@@ -29,10 +29,13 @@ def apply_filter(v, alpha):
     _check_width(alpha)
     if alpha == 0.0:
         return v.copy()
-    grid = v.grid
-    symbol = 1.0 / (1.0 + alpha**2 * grid.k_squared)
-    out = VectorField(grid, to_spectral(v).data * symbol, SPECTRAL)
-    return out if v.is_spectral else to_physical(out)
+
+    def symbol(k_squared):
+        return 1.0 / (1.0 + alpha**2 * k_squared)
+
+    if v.is_spectral:
+        return VectorField(v.grid, v.data * symbol(v.grid.k_squared), SPECTRAL)
+    return physical_multiply(v, symbol)
 
 
 def filter_identity_residual(v, alpha, m=0):

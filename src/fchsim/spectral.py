@@ -8,6 +8,13 @@ Conventions fixed here and relied on everywhere else:
     1/N^n factor
   - every transform of the solver goes through real_forward/real_inverse:
     physical data is real, so the spectrum is Hermitian, F(-k) = conj F(k)
+  - memory layout: a spectrum the solver builds only to invert it (the
+    nonlinear term's derivative spectra, the filter's spectrum of a physical
+    field) is held in transform order, its spatial axes reversed in memory,
+    so that the leading complex passes of irfftn run along contiguous
+    memory; the state, every other spectrum and every physical array are
+    C-ordered.  The layout changes no transform call, no element count and
+    no result bit
   - physical quadrature weight is (L/N)^n, so the Parseval pairing is
     sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n)
   - wavenumbers are k = (2*pi/L)*m with integer m in [-N/2, N/2)
@@ -207,6 +214,64 @@ def _pair_planes(spectrum, axes, half):
             plane.imag = 0.0
 
 
+def _half_index(shape, axes):
+    """Index of the modes 0 <= m <= N/2 of the last of `axes`: the only
+    ones real_inverse reads."""
+    index = [slice(None)] * len(shape)
+    index[axes[-1]] = slice(0, shape[axes[-1]] // 2 + 1)
+    return tuple(index)
+
+
+def inverse_buffer(shape, axes, dtype=np.complex128):
+    """A zeroed array of `shape` held in transform order: `axes` reversed in
+    memory, the first of them contiguous, after the other axes.  For a
+    spectrum that is only inverted, the modes real_inverse reads then form
+    one contiguous block per index of the other axes."""
+    axes = tuple(axes)
+    order = tuple(a for a in range(len(shape)) if a not in axes) + axes[::-1]
+    zeros = np.zeros([shape[a] for a in order], dtype)
+    return zeros.transpose(np.argsort(order))
+
+
+def _half_lines(grid, lattice):
+    """The component i of a (dim, N, ..., N) lattice array that depends on
+    axis i alone (a wavenumber), as a line along that axis, broadcastable
+    over the modes 0 <= m <= N/2 of the last axis."""
+    dim, half = grid.dim, grid.points_per_axis // 2 + 1
+    for i in range(dim):
+        index = [slice(0, 1)] * dim
+        index[i] = slice(0, half) if i == dim - 1 else slice(None)
+        yield lattice[i][tuple(index)]
+
+
+def half_derivative_multipliers(grid):
+    """1j * derivative_wavenumbers on the modes 0 <= m <= N/2 of the last
+    axis, bit for bit, in the transform order of the half spectra.  Each
+    component is broadcast from its line, so nothing is transposed."""
+    shape = (grid.dim,) + grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    ik = inverse_buffer(shape, range(1, grid.dim + 1))
+    for i, line in enumerate(_half_lines(grid, grid.derivative_wavenumbers)):
+        np.multiply(1j, line, out=ik[i])
+    return ik
+
+
+def _half_k_squared(grid):
+    """k_squared on the modes 0 <= m <= N/2 of the last axis, bit for bit
+    (the same sum, in the same order), in transform order."""
+    shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    k_squared = inverse_buffer(shape, range(grid.dim), np.float64)
+    for line in _half_lines(grid, grid.wavenumbers):
+        k_squared += line ** 2
+    return k_squared
+
+
+def _forward_half(data, axes, out):
+    """The modes 0 <= m <= N/2 of the last axis of real_forward, into `out`."""
+    np.fft.rfftn(data, axes=axes, out=out)
+    _pair_planes(out, axes, data.shape[axes[-1]] // 2)
+    return out
+
+
 def real_forward(data, axes, half=False):
     """Unnormalized DFT of real `data` over `axes`, full-size complex output.
 
@@ -214,18 +279,15 @@ def real_forward(data, axes, half=False):
     output; the rest is filled by Hermitian symmetry, so the result is
     exactly Hermitian.  With `half`, only the modes 0 <= m <= N/2 are
     returned, bit for bit those of the full output, for a spectrum that is
-    only ever read there.
+    only ever read there; it is held in transform order.
     """
     axes = tuple(axes)
-    n_last = data.shape[axes[-1]]
     if half:
-        out = np.fft.rfftn(data, axes=axes)
-        _pair_planes(out, axes, n_last // 2)
-        return out
+        shape = list(data.shape)
+        shape[axes[-1]] = shape[axes[-1]] // 2 + 1
+        return _forward_half(data, axes, inverse_buffer(shape, axes))
     full = np.empty(data.shape, np.complex128)
-    index = [slice(None)] * data.ndim
-    index[axes[-1]] = slice(0, n_last // 2 + 1)
-    np.fft.rfftn(data, axes=axes, out=full[tuple(index)])
+    np.fft.rfftn(data, axes=axes, out=full[_half_index(data.shape, axes)])
     _mirror_half(full, axes)
     return full
 
@@ -235,10 +297,33 @@ def real_inverse(spectrum, axes, out=None):
 
     irfftn reads only the modes 0 <= m <= N/2 of the last axis and takes
     the rest to be their mirror, so any anti-Hermitian part is dropped.
+    The spectrum may be held in any layout, transform order being the
+    fastest; the result is C-ordered whatever the layout, bit for bit the
+    same.
     """
     axes = tuple(axes)
+    if out is None and not spectrum.flags.c_contiguous:
+        # irfftn would return its result in the spectrum's memory order
+        out = np.empty(spectrum.shape, np.float64)
     return np.fft.irfftn(spectrum, s=[spectrum.shape[a] for a in axes],
                          axes=axes, out=out)
+
+
+def physical_multiply(field, symbol):
+    """A physical field under the real Fourier multiplier symbol(|k|^2).
+
+    Bit for bit to_physical of to_spectral(field).data * symbol(k_squared),
+    but the spectrum, which is only inverted, is formed on the modes
+    0 <= m <= N/2 of the last axis alone and held in transform order, and
+    the symbol is evaluated there alone.
+    """
+    grid = field.grid
+    axes = _spatial_axes(grid)
+    full = inverse_buffer(field.data.shape, axes)
+    index = _half_index(full.shape, axes)
+    half = _forward_half(field.data, axes, full[index])
+    half *= symbol(_half_k_squared(grid))
+    return VectorField(grid, real_inverse(full, axes), PHYSICAL)
 
 
 def transform(field, direction):

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from fchsim import integrate
 from fchsim.diagnostics import gradient_norm_sq, l2_norm_sq
 from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
+from fchsim.helmholtz import apply_filter
 from fchsim.integrate import (
     _advance,
     _ifrk4,
@@ -36,6 +38,26 @@ def stepper(grid, params):
     factors = _integrating_factors(grid, params, params.dt)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
     return lambda state: _advance(state, params.dt, factors, rhs)
+
+
+def test_transform_order_stays_inside_the_fft_layer(monkeypatch):
+    # Spectra that are only inverted are held with their axes reversed in
+    # memory; every physical array the step multiplies, the filter's output
+    # and the state stay C-ordered (a reversed u or v slows the product).
+    grid = SpectralGrid(2, 16, 2.0 * np.pi)
+    params = make_params(alpha=0.3)
+    seen = []
+
+    def spy(u, v, dealias=True):
+        seen.append((u.data.flags.c_contiguous, v.data.flags.c_contiguous))
+        return ch_nonlinear_term(u, v, dealias=dealias)
+
+    monkeypatch.setattr(integrate, "ch_nonlinear_term", spy)
+    state = prepare_initial_state(random_divfree(grid, seed=8), params)
+    new = stepper(grid, params)(state)
+    assert seen == [(True, True)] * 4
+    assert new.v.field.data.flags.c_contiguous
+    assert apply_filter(to_physical(state.v.field), 0.3).data.flags.c_contiguous
 
 
 def test_params_validation():

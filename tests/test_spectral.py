@@ -12,6 +12,7 @@ from fchsim.spectral import (
     fractional_laplacian,
     gradient, divergence, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
+    half_derivative_multipliers, inverse_buffer, physical_multiply,
 )
 from conftest import random_field
 
@@ -294,6 +295,7 @@ def test_real_forward_half_is_the_full_outputs_half(dim, n, vector):
     f = np.random.default_rng(5 * n + dim).standard_normal(shape)
     got = real_forward(f, axes, half=True)
     assert got.shape == shape[:-1] + (n // 2 + 1,)
+    assert got.strides[axes[0]] == got.itemsize     # held in transform order
     assert np.array_equal(got, real_forward(f, axes)[..., :n // 2 + 1])
 
 
@@ -310,6 +312,46 @@ def test_real_inverse_matches_ifftn(dim, n, vector):
     out = np.empty(shape)
     assert real_inverse(spectrum, axes, out=out) is out
     assert np.array_equal(out, got)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_real_inverse_does_not_depend_on_the_layout(dim, n, vector):
+    shape, axes = _dft_layout(dim, n, vector)
+    spectrum = real_forward(
+        np.random.default_rng(11 * n + dim).standard_normal(shape), axes)
+    held = inverse_buffer(shape, axes)
+    held[...] = spectrum
+    # the buffer really holds the spatial axes reversed, first one contiguous
+    assert held.strides[axes[0]] == held.itemsize
+    assert [held.strides[a] for a in axes] == sorted(held.strides[a] for a in axes)
+    expected = real_inverse(spectrum, axes)
+    got = real_inverse(held, axes)
+    assert np.array_equal(got, expected)
+    assert got.flags.c_contiguous and expected.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_half_derivative_multipliers_are_the_grids(dim, n):
+    grid = SpectralGrid(dim, n, 2.5)
+    ik = half_derivative_multipliers(grid)
+    assert ik.strides[1] == ik.itemsize
+    assert np.array_equal(ik, 1j * grid.derivative_wavenumbers[..., :n // 2 + 1])
+
+
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_physical_multiply_is_the_spectral_product(dim, n):
+    grid = SpectralGrid(dim, n, 3.0)
+    f = random_field(grid, seed=n + dim)
+
+    def symbol(k_squared):
+        return 1.0 / (1.0 + 0.3 * k_squared)
+
+    expected = to_physical(
+        VectorField(grid, to_spectral(f).data * symbol(grid.k_squared), "spectral"))
+    got = physical_multiply(f, symbol)
+    assert got.representation == "physical" and got.data.flags.c_contiguous
+    assert np.array_equal(got.data, expected.data)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])

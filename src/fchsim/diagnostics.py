@@ -105,14 +105,12 @@ def default_fit_window(t_end):
     return (5.0, 0.9 * t_end)
 
 
-def fit_decay(series, window=None):
+def fit_decay(series, window):
     """Least-squares line on (log(1+t), log value) inside the window.
 
     Needs at least 10 positive samples in the window.
     """
     arr = np.asarray([(t, v) for t, v in series], dtype=float)
-    if window is None:
-        window = default_fit_window(arr[-1, 0])
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise ValueError("empty fit window")
@@ -167,18 +165,12 @@ def fourier_amplitude_bound_check(records):
     }
 
 
-def time_average_decay_check(series):
-    """Cesaro mean (1/t) int |v| dtau; reports whether it decays.
-
-    Accepts EnergyRecord lists (|v| taken as sqrt of the recorded squared
-    norm) or plain (t, value) pairs.
+def time_average_decay_check(records):
+    """Cesaro mean (1/t) int |v| dtau of an EnergyRecord list, |v| taken as
+    the square root of the recorded squared norm; reports whether it decays.
     """
-    if len(series) and hasattr(series[0], "v_l2"):
-        t = np.array([r.t for r in series])
-        v = np.sqrt(np.array([r.v_l2 for r in series]))
-    else:
-        arr = np.asarray([(a, b) for a, b in series], dtype=float)
-        t, v = arr[:, 0], arr[:, 1]
+    t = np.array([r.t for r in records])
+    v = np.sqrt(np.array([r.v_l2 for r in records]))
     integral = _cumulative_trapezoid(t, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.where(t > 0, integral / np.where(t > 0, t, 1.0), v)

@@ -495,6 +495,30 @@ def run_alpha_sweep(config, report):
                "a positive-width member matched the reference exactly")
 
 
+def _worst_filter_identity(spectra):
+    """Worst relative residual of the three-term filter identity over the
+    spectra, m in 0..2 and alpha in 0.1, 1."""
+    worst = 0.0
+    for vh in spectra:
+        for alpha in (0.1, 1.0):
+            for m in (0, 1, 2):
+                worst = max(worst, filter_identity_residual(vh, alpha, m))
+    return worst
+
+
+def _worst_pairing(grid, seed, count, top):
+    """Worst normalized momentum pairing |<N(u, v), u>| / (|u|^2 |v|_H1) over
+    `count` band-random pairs (u, v) seeded seed + 2j and seed + 2j + 1."""
+    worst = 0.0
+    for j in range(count):
+        u = band_random(grid, seed=seed + 2 * j, band=(1.0, top))
+        v = band_random(grid, seed=seed + 1 + 2 * j, band=(1.0, top))
+        pairing = l2_inner(ch_nonlinear_term(u, v), to_spectral(u))
+        h1 = np.sqrt(l2_norm_sq(v) + gradient_norm_sq(v))
+        worst = max(worst, abs(pairing) / (l2_norm_sq(u) * h1))
+    return worst
+
+
 @_scenario
 def run_filter_check(config, report):
     """Invariant battery for the smoothing filter and the momentum pairing."""
@@ -504,12 +528,7 @@ def run_filter_check(config, report):
 
     fields = [VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape),
                           PHYSICAL) for _ in range(10)]
-    worst = 0.0
-    for v in fields:
-        vh = to_spectral(v)
-        for alpha in (0.1, 1.0):
-            for m in (0, 1, 2):
-                worst = max(worst, filter_identity_residual(vh, alpha, m))
+    worst = _worst_filter_identity(to_spectral(v) for v in fields)
     _check(report, "three-term filter identity", worst <= 1e-12,
            f"worst relative residual {worst:.3e}"
            " (10 fields, m in 0..2, alpha in 0.1, 1)")
@@ -522,14 +541,8 @@ def run_filter_check(config, report):
     _check(report, "zero width filter is the identity", ident == 0.0,
            f"max coefficient change {ident:.3e}")
 
-    top = grid.points_per_axis / 4.0
-    worst_ip = 0.0
-    for j in range(10):
-        u = band_random(grid, seed=1000 + 2 * j, band=(1.0, top))
-        v = band_random(grid, seed=1001 + 2 * j, band=(1.0, top))
-        pairing = l2_inner(ch_nonlinear_term(u, v), to_spectral(u))
-        h1 = np.sqrt(l2_norm_sq(v) + gradient_norm_sq(v))
-        worst_ip = max(worst_ip, abs(pairing) / (l2_norm_sq(u) * h1))
+    worst_ip = _worst_pairing(grid, seed=1000, count=10,
+                              top=grid.points_per_axis / 4.0)
     _check(report, "momentum pairing orthogonal to the advecting field",
            worst_ip <= 1e-9, f"worst normalized pairing {worst_ip:.3e}")
 
@@ -652,24 +665,13 @@ def run_selftest(config, report):
            "mode (3, 5), exponent 0.6")
 
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(3):
-        noise = VectorField(grid, rng.standard_normal((2,) + grid.shape),
-                            PHYSICAL)
-        vh = to_spectral(noise)
-        for alpha in (0.1, 1.0):
-            for m in (0, 1, 2):
-                worst = max(worst, filter_identity_residual(vh, alpha, m))
+    worst = _worst_filter_identity(
+        to_spectral(VectorField(grid, rng.standard_normal((2,) + grid.shape),
+                                PHYSICAL)) for _ in range(3))
     _check(report, "three-term filter identity", worst <= 1e-12,
            f"worst relative residual {worst:.3e}")
 
-    worst_ip = 0.0
-    for j in range(3):
-        u = band_random(grid, seed=50 + 2 * j, band=(1.0, 8.0))
-        v = band_random(grid, seed=51 + 2 * j, band=(1.0, 8.0))
-        pairing = l2_inner(ch_nonlinear_term(u, v), to_spectral(u))
-        h1 = np.sqrt(l2_norm_sq(v) + gradient_norm_sq(v))
-        worst_ip = max(worst_ip, abs(pairing) / (l2_norm_sq(u) * h1))
+    worst_ip = _worst_pairing(grid, seed=50, count=3, top=8.0)
     _check(report, "momentum pairing orthogonal to the advecting field",
            worst_ip <= 1e-9, f"worst normalized pairing {worst_ip:.3e}")
 

@@ -1,10 +1,11 @@
 """Incompressible vector calculus on spectral grids.
 
 Leray projection onto divergence-free fields, the filtered-advection
-nonlinear term u.grad(v) + v.grad(u)^T, the symmetrization identity
-behind pressure elimination, and diagnostic pressure recovery.  The module
-also owns the process's one worker thread, which runs the second lane of
-the nonlinear term or a share of the items of map_on_worker.
+nonlinear term u.grad(v) + v.grad(u)^T and the symmetrization identity
+behind pressure elimination.  The module also owns the process's one worker
+thread.  Both of its uses, the nonlinear term's second lane and the second
+item of each pair in map_on_worker, go through _on_both, which tries the
+worker and never waits for it.
 
 Index convention used throughout: (v.grad(u)^T)_i = sum_j v_j d_i u_j,
 while (u.grad(v))_i = sum_j u_j d_j v_i.
@@ -13,12 +14,13 @@ while (u.grad(v))_i = sum_j u_j d_j v_i.
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .spectral import (
     SPECTRAL, VectorField, dealias as dealias_modes, half_derivative_multipliers,
-    inverse_buffer, real_forward, real_inverse, to_physical, to_spectral,
+    inverse_buffer, real_forward, real_inverse, to_spectral,
     _scalar_forward, _scalar_inverse,
 )
 
@@ -32,11 +34,9 @@ from .spectral import (
 # per call, so small grids stay on one thread; the 128^2 alpha sweep uses
 # the second core through map_on_worker instead.
 THREADED_MIN_POINTS = 2 ** 16
-# The one worker thread, shared by the lanes and by map_on_worker, and
-# whether a map holds it.
+# The one worker thread, and the lock its one user at a time holds.
 _POOL = None
-_POOL_LOCK = threading.Lock()
-_MAP_BUSY = False
+_BUSY = threading.Lock()
 
 
 @dataclass
@@ -141,14 +141,14 @@ def _cpu_count():
 
 
 def _forget_pool():
-    global _POOL, _POOL_LOCK, _MAP_BUSY
-    _POOL, _POOL_LOCK, _MAP_BUSY = None, threading.Lock(), False
+    global _POOL, _BUSY
+    _POOL, _BUSY = None, threading.Lock()
 
 
 def _start_worker():
     """The one-thread pool, started on first use; a forked child, which
     inherits the pool but not its thread, starts its own.  Call it with
-    _POOL_LOCK held."""
+    _BUSY held."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -159,94 +159,57 @@ def _start_worker():
     return _POOL
 
 
-def _lane_pool(grid):
-    """The pool that runs the second lane, or None to run both lanes on the
-    calling thread: on small grids, on one CPU, and while map_on_worker
-    runs, since its worker may be running the caller itself."""
-    if (_MAP_BUSY or grid.points_per_axis ** grid.dim < THREADED_MIN_POINTS
-            or _cpu_count() < 2):
-        return None
-    with _POOL_LOCK:
-        return _start_worker()
+def _on_both(first, second):
+    """(first(), second()): second on the worker while first runs on this
+    thread, or both here, in order, on one CPU or when another caller holds
+    the worker.
+
+    The worker is tried, never waited for, so a task on the worker that
+    calls this runs both inline and cannot wait on itself.  An error of
+    first is raised once second has ended.
+    """
+    if _cpu_count() < 2 or not _BUSY.acquire(blocking=False):
+        return first(), second()
+    try:
+        pending = _start_worker().submit(second)
+        try:
+            result = first()
+        finally:
+            pending.exception()         # waits for second, raises nothing
+        return result, pending.result()
+    finally:
+        _BUSY.release()
 
 
-def _map_pool():
-    """The pool, now held by a map, or None when a map already holds it."""
-    global _MAP_BUSY
-    with _POOL_LOCK:
-        if _MAP_BUSY:
-            return None
-        _MAP_BUSY = True
-        return _start_worker()
+def _outcome(fn, item):
+    """(True, fn(item)), or (False, the exception it raised)."""
+    try:
+        return True, fn(item)
+    except BaseException as exc:     # raised again by map_on_worker, in order
+        return False, exc
 
 
 def map_on_worker(fn, items):
-    """Yield fn(item) for every item, in item order, sharing the items
-    between the calling thread and the worker.
+    """Yield fn(item) for every item, in item order.
 
-    Whichever thread is free claims the next item, so each result is the
-    one a plain loop gives, bit for bit.  The first failure in item order
-    is raised where its result would be yielded, once the worker has ended
-    its item; after a failure neither thread starts an item.  While the map
-    runs every caller's lanes run inline (_lane_pool).  On one CPU, for
-    fewer than two items, or inside a running map, this is a plain loop.
-    The map ends, and frees the worker, when the iterator is exhausted or
-    closed.
+    The items run in pairs through _on_both, the second of a pair on the
+    worker when it is free, so each result is the one a plain loop gives,
+    bit for bit.  The first failure in item order is raised where its
+    result would be yielded, and no item starts after it.  An odd last item
+    runs alone on the calling thread, free to hand its own lanes to the
+    worker.  On one CPU this is a plain loop.
     """
-    global _MAP_BUSY
     items = list(items)
-    pool = _map_pool() if len(items) > 1 and _cpu_count() > 1 else None
-    if pool is None:
-        for item in items:
-            yield fn(item)
-        return
-    state = threading.Condition()
-    outcomes = [None] * len(items)       # (ok, result or exception)
-    unclaimed = iter(range(len(items)))
-    stop = False
-
-    def claim():
-        with state:
-            return None if stop else next(unclaimed, None)
-
-    def finish(index):
-        nonlocal stop
-        try:
-            outcome = (True, fn(items[index]))
-        except BaseException as exc:
-            outcome = (False, exc)
-        with state:
-            outcomes[index] = outcome
-            stop = stop or not outcome[0]
-            state.notify_all()
-
-    def work():
-        while (index := claim()) is not None:
-            finish(index)
-
-    pending = None
-    try:
-        pending = pool.submit(work)
-        for k in range(len(items)):
-            # Items are claimed in order, so item k is claimed and ends;
-            # while it runs on the worker, this thread takes the next one.
-            while outcomes[k] is None:
-                index = claim()
-                if index is None:
-                    with state:
-                        state.wait_for(lambda: outcomes[k] is not None)
-                else:
-                    finish(index)
-            ok, result = outcomes[k]
-            if not ok:
-                raise result
-            yield result
-    finally:
-        with state:
-            stop = True
-        if pending is not None:
-            pending.result()
-        _MAP_BUSY = False
+    paired = len(items) - len(items) % 2 if _cpu_count() > 1 else 0
+    for k in range(0, paired, 2):
+        result, (ok, second) = _on_both(partial(fn, items[k]),
+                                        partial(_outcome, fn, items[k + 1]))
+        yield result
+        if not ok:
+            raise second
+        yield second
+    for item in items[paired:]:
+        yield fn(item)
 
 
 def ch_nonlinear_term(u, v, dealias=True):
@@ -258,8 +221,8 @@ def ch_nonlinear_term(u, v, dealias=True):
     a reused spectral and physical buffer and is folded into the product at
     once, as u_b d_b v_a into component a and v_a d_b u_a into component b.
     The terms run in two lanes by output component (_lanes); on grids of at
-    least THREADED_MIN_POINTS points the second lane runs on a worker thread,
-    with the same result bit for bit.
+    least THREADED_MIN_POINTS points the two lanes go to _on_both, with the
+    same result bit for bit wherever the second one runs.
     """
     if u.grid != v.grid:
         raise ValueError("u and v live on different grids")
@@ -277,18 +240,17 @@ def ch_nonlinear_term(u, v, dealias=True):
     out = np.zeros((dim,) + grid.shape)
     first, second = _lanes(dim)
     shared = [uh, vh, u.data, v.data, ik]
-    pool = _lane_pool(grid)
-    if pool is None:
-        _add_terms(shared + [first + second, out] + _lane_buffers(grid))
+
+    def lane(terms):
+        # Every buffer is allocated on this thread: allocated on the worker
+        # they came from its own malloc arena, 112.5 -> 114.3 MB peak RSS
+        # at 48^3.  A lane writes only into its own components.
+        return partial(_add_terms, shared + [terms, out] + _lane_buffers(grid))
+
+    if grid.points_per_axis ** dim < THREADED_MIN_POINTS:
+        lane(first + second)()
     else:
-        # Every buffer is allocated here; the worker writes only into the
-        # components and buffers it is handed.
-        pending = pool.submit(_add_terms,
-                              shared + [second, out] + _lane_buffers(grid))
-        try:
-            _add_terms(shared + [first, out] + _lane_buffers(grid))
-        finally:
-            pending.result()
+        _on_both(lane(first), lane(second))
     del uh, vh, ik, shared
     nh = VectorField(grid, real_forward(out, axes), SPECTRAL)
     return dealias_modes(nh) if dealias else nh
@@ -339,38 +301,3 @@ def symmetrized_identity_check(u, v):
         worst_den = max(worst_den, float(np.max(np.abs(lhs))),
                         float(np.max(np.abs(rhs))))
     return worst_num / worst_den if worst_den > 0 else 0.0
-
-
-def recover_pressure(u, v):
-    """Diagnostic pressure from -Laplace(p + sum u_i v_i) = div(u.grad(v) - u.grad(v)^T).
-
-    Inputs must be divergence-free.  Returns p as a zero-mean physical
-    scalar array.  A non-decaying source (nonzero mean right side) is a
-    contract violation and raises.
-    """
-    grid = u.grid
-    dim = grid.dim
-    k = grid.derivative_wavenumbers
-    for name, f in (("u", u), ("v", v)):
-        if divergence_defect(f) > 1e-6:
-            raise ValueError("%s is not divergence-free; project it first" % name)
-    up = to_physical(u)
-    vp = to_physical(v)
-    dv = _jacobian_physical(grid, to_spectral(vp).data)
-    adv = np.zeros((dim,) + grid.shape)      # u.grad(v)
-    advT = np.zeros((dim,) + grid.shape)     # (u.grad(v)^T)_i = sum_j u_j d_i v_j
-    for i in range(dim):
-        for j in range(dim):
-            adv[i] += up.data[j] * dv[i, j]
-            advT[i] += up.data[j] * dv[j, i]
-    wh = real_forward(adv - advT, range(1, dim + 1))
-    div_h = np.sum(1j * k * wh, axis=0)
-    zero = (0,) * dim
-    scale = np.max(np.abs(div_h)) + np.max(np.abs(wh))
-    if abs(div_h[zero]) > 1e-10 * (scale + 1e-300) * grid.points_per_axis ** dim:
-        raise ValueError("source term has a nonzero mean; pressure undefined")
-    qh = div_h * grid.inverse_k_squared   # q = p + sum u_i v_i solves -Lap q = div w
-    qh[zero] = 0.0
-    s = np.sum(up.data * vp.data, axis=0)
-    p = _scalar_inverse(grid, qh) - s
-    return p - np.mean(p)

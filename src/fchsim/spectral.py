@@ -399,33 +399,24 @@ def _scalar_inverse(grid, fh, out=None):
     return real_inverse(fh, range(grid.dim), out=out)
 
 
-def scalar_gradient(grid, f, spectral_in=False, spectral_out=False):
-    """Gradient of a scalar array, returned as a VectorField."""
-    fh = f if spectral_in else _scalar_forward(grid, f)
-    gh = 1j * grid.derivative_wavenumbers * fh[np.newaxis]
-    out = VectorField(grid, gh, SPECTRAL)
-    return out if spectral_out else to_physical(out)
-
-
 def gradient(field, grid=None):
     """Spectral gradient.
 
     For a scalar array (with grid supplied) returns the gradient as a
-    VectorField.  For a VectorField returns a list whose entry i is the
-    gradient of component i, each itself a VectorField, in the input's
-    representation.
+    physical VectorField.  For a VectorField returns a list whose entry i
+    is the gradient of component i, each itself a VectorField, in the
+    input's representation.
     """
     if isinstance(field, VectorField):
-        fh = to_spectral(field)
-        out = []
-        for i in range(field.grid.dim):
-            gi = scalar_gradient(field.grid, fh.data[i], spectral_in=True,
-                                 spectral_out=True)
-            out.append(gi if field.is_spectral else to_physical(gi))
-        return out
+        grid, fh = field.grid, to_spectral(field).data
+        k = grid.derivative_wavenumbers
+        out = [VectorField(grid, 1j * k * fh[i], SPECTRAL)
+               for i in range(grid.dim)]
+        return out if field.is_spectral else [to_physical(g) for g in out]
     if grid is None:
         raise ValueError("scalar gradient needs the grid")
-    return scalar_gradient(grid, field)
+    gh = 1j * grid.derivative_wavenumbers * _scalar_forward(grid, field)
+    return to_physical(VectorField(grid, gh, SPECTRAL))
 
 
 def divergence(field):

@@ -446,8 +446,9 @@ print(json.dumps({"during": during, "after": calls, "workers": sum(
 
 def test_family_map_at_two_lane_size_does_not_deadlock(tmp_path):
     # 256^2 reaches fields.THREADED_MIN_POINTS: a member on the worker must
-    # not hand its lane to itself, so every product of the map runs both
-    # lanes on its own thread, and the lanes use the worker again after it
+    # not hand its lane to itself, so every product of the pair runs its two
+    # lanes one after the other on its own thread, and the lanes use the
+    # worker again after it
     src = Path(experiments.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
@@ -456,10 +457,47 @@ def test_family_map_at_two_lane_size_does_not_deadlock(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    both_lanes = 2 * 2 * 2                  # 2 components x 2 axes x 2 terms
-    assert {terms for _, terms in seen["during"]} == {both_lanes}
-    threads = {name.startswith("fchsim-lane") for name, _ in seen["during"]}
+    during = seen["during"]
+    one_lane = 2 * 2                        # 1 component x 2 axes x 2 terms
+    assert {terms for _, terms in during} == {one_lane}
+    for thread in {name for name, _ in during}:
+        # the two lanes of each product, one after the other on its thread
+        assert [name for name, _ in during].count(thread) % 2 == 0
+    threads = {name.startswith("fchsim-lane") for name, _ in during}
     assert threads == {False, True}         # the members used both threads
     assert sorted(name.startswith("fchsim-lane") for name, _ in seen["after"]) \
         == [False, True]
     assert seen["workers"] == 1
+
+
+def test_family_odd_last_member_runs_its_lanes_on_both_threads(tmp_path,
+                                                                monkeypatch):
+    # the third member of a 256^2 family runs alone once the pair has ended,
+    # so the worker is free for its lanes
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    calls = []
+    add_terms, run = fields._add_terms, experiments.run
+
+    def spy(job):
+        calls.append((threading.current_thread().name.startswith("fchsim-lane"),
+                      len(job[5])))
+        add_terms(job)
+
+    def marked_run(*args, **kwargs):
+        calls.append("member")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_add_terms", spy)
+    monkeypatch.setattr(experiments, "run", marked_run)
+    config = ExperimentConfig(
+        scenario="scaled-family", output_dir=str(tmp_path),
+        grid=(2, 256, 100.0),
+        params=SolverParams(nu=2.0, beta=1.0, alpha=1.0, dt=0.04, t_end=0.08),
+        datum={"kind": "scaled-bump", "width": 3.0, "peak_speed": 0.05},
+        epsilons=(1.0, 0.5, 0.25), sample_stride=2)
+    run_scaled_family(config)
+    starts = [i for i, call in enumerate(calls) if call == "member"]
+    assert len(starts) == 3
+    last = calls[starts[2] + 1:]
+    assert last and set(last) == {(False, 4), (True, 4)}
+    assert last.count((False, 4)) == last.count((True, 4))

@@ -17,7 +17,7 @@ from fchsim.spectral import (
 )
 from fchsim.fields import (
     ch_nonlinear_term, divergence_defect, leray_project, map_on_worker,
-    recover_pressure, symmetrized_identity_check, _jacobian_physical,
+    symmetrized_identity_check, _jacobian_physical,
 )
 from fchsim.integrate import band_random
 from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq
@@ -206,7 +206,7 @@ def test_map_yields_in_item_order_from_both_threads(monkeypatch):
 
     assert list(map_on_worker(square, range(8))) == [i * i for i in range(8)]
     assert set(ran_on.values()) == {False, True}
-    assert fields._MAP_BUSY is False
+    assert not fields._BUSY.locked()
 
 
 @pytest.mark.parametrize("cpus", [2, 1])
@@ -222,7 +222,7 @@ def test_map_raises_the_earlier_of_two_failures(monkeypatch, cpus):
     with pytest.raises(ValueError) as info:
         list(map_on_worker(fail, [0, 1]))
     assert info.value.args == (0,)
-    assert fields._MAP_BUSY is False
+    assert not fields._BUSY.locked()
 
 
 def test_map_starts_no_item_after_a_failure(monkeypatch):
@@ -244,20 +244,72 @@ def test_map_starts_no_item_after_a_failure(monkeypatch):
     assert sorted(started) == [0, 1]
 
 
+def _lane_spy(monkeypatch):
+    """Record (on the worker, number of terms) for every lane run."""
+    lanes = []
+    add_terms = fields._add_terms
+
+    def spy(job):
+        lanes.append((_on_worker(), len(job[5])))
+        add_terms(job)
+
+    monkeypatch.setattr(fields, "_add_terms", spy)
+    return lanes
+
+
 def test_lanes_and_nested_maps_run_inline_during_a_map(monkeypatch):
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
-    grid = SpectralGrid(2, 256, 2 * np.pi)
-    assert fields._lane_pool(grid) is not None
+    u, v = _product_pair(2, 256, 0.1)
+    lanes = _lane_spy(monkeypatch)
 
     def probe(item):
-        nested = list(map_on_worker(lambda _: _on_worker(), range(3)))
-        return fields._lane_pool(grid), nested, _on_worker()
+        ch_nonlinear_term(u, v)
+        return list(map_on_worker(lambda _: _on_worker(), range(3))), _on_worker()
 
-    for pool, nested, on_worker in map_on_worker(probe, range(2)):
-        assert pool is None
+    ran_on = []
+    for nested, on_worker in map_on_worker(probe, range(2)):
         assert nested == [on_worker] * 3       # a plain loop on this thread
-    assert fields._lane_pool(grid) is not None
-    assert fields._MAP_BUSY is False
+        ran_on.append(on_worker)
+    assert ran_on == [False, True]
+    # each item ran both 4-term lanes of its product on its own thread
+    assert sorted(lanes) == [(False, 4)] * 2 + [(True, 4)] * 2
+    assert not fields._BUSY.locked()
+    lanes.clear()
+    ch_nonlinear_term(u, v)
+    assert sorted(lanes) == [(False, 4), (True, 4)]   # the worker again
+
+
+def test_odd_last_item_of_a_map_runs_its_lanes_on_both_threads(monkeypatch):
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    u, v = _product_pair(2, 256, 0.1)
+    lanes = _lane_spy(monkeypatch)
+
+    def item(_):
+        ch_nonlinear_term(u, v)
+        return _on_worker()
+
+    assert list(map_on_worker(item, range(3))) == [False, True, False]
+    assert sorted(lanes[:4]) == [(False, 4)] * 2 + [(True, 4)] * 2
+    # the last item starts once the pair has ended
+    assert sorted(lanes[4:]) == [(False, 4), (True, 4)]
+
+
+def test_on_both_inside_the_worker_runs_inline(monkeypatch):
+    # a task on the worker that tries the worker again must not wait on it
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    results = []
+
+    def nested():
+        return fields._on_both(_on_worker, _on_worker)
+
+    caller = threading.Thread(
+        target=lambda: results.append(fields._on_both(_on_worker, nested)),
+        daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert results == [(False, (True, True))]
+    assert not fields._BUSY.locked()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -265,14 +317,7 @@ def test_child_forked_during_a_map_runs_lanes_on_its_own_worker(monkeypatch):
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
     u, v = _product_pair(2, 256, 0.1)
     expected = ch_nonlinear_term(u, v).data
-    lanes_on_worker = []
-    add_terms = fields._add_terms
-
-    def spy(job):
-        lanes_on_worker.append(_on_worker())
-        add_terms(job)
-
-    monkeypatch.setattr(fields, "_add_terms", spy)
+    lanes = _lane_spy(monkeypatch)
     barrier = threading.Barrier(2, timeout=60)   # one item on each thread
 
     def item(_):
@@ -284,14 +329,13 @@ def test_child_forked_during_a_map_runs_lanes_on_its_own_worker(monkeypatch):
             status = 1
             try:
                 signal.alarm(60)
-                lanes_on_worker.clear()
+                lanes.clear()
                 same = np.array_equal(ch_nonlinear_term(u, v).data, expected)
-                status = 0 if same and sorted(lanes_on_worker) == [False, True] else 1
+                status = 0 if same and sorted(lanes) == [(False, 4), (True, 4)] else 1
             finally:
                 os._exit(status)
         return os.waitpid(pid, 0)[1]
 
-    assert fields._lane_pool(u.grid) is not None
     statuses = list(map_on_worker(item, range(2)))
     assert set(statuses) == {0, None}      # the child exited 0
 
@@ -364,54 +408,3 @@ def test_symmetrized_identity_random(grid64):
 def test_symmetrized_identity_zero(grid32):
     z = VectorField.zeros(grid32)
     assert symmetrized_identity_check(z, z) == 0.0
-
-
-def test_pressure_zero(grid32):
-    z = VectorField.zeros(grid32)
-    p = recover_pressure(z, z)
-    assert np.max(np.abs(p)) == 0.0
-
-
-def test_pressure_single_mode_oracle():
-    # u = a cos(2 x2) e1, v = b cos(3 x1) e2: the source reduces to two
-    # oblique modes and p has the closed form below
-    g = SpectralGrid(2, 64, 2 * np.pi)
-    x = g.coordinate_mesh()
-    a, b = 1.3, 0.7
-    u = VectorField.from_components(g, [a * np.cos(2 * x[1]), np.zeros(g.shape)])
-    v = VectorField.from_components(g, [np.zeros(g.shape), b * np.cos(3 * x[0])])
-    p = recover_pressure(u, v)
-    expected = -(3 * a * b / 13.0) * (np.cos(3 * x[0] + 2 * x[1])
-                                      - np.cos(3 * x[0] - 2 * x[1]))
-    expected -= np.mean(expected)
-    assert np.max(np.abs(p - expected)) <= 1e-11 * np.max(np.abs(expected))
-
-
-def test_pressure_gradient_part(grid64):
-    # (I - P)[u.grad v - u.grad v^T] = -grad(p + sum u_i v_i)
-    u = random_divfree(grid64, seed=41)
-    v = random_divfree(grid64, seed=42)
-    p = recover_pressure(u, v)
-    from fchsim.fields import _jacobian_physical
-    vh = np.fft.fftn(v.data, axes=(1, 2))
-    dv = _jacobian_physical(grid64, vh)
-    w = np.zeros((2,) + grid64.shape)
-    for i in range(2):
-        for j in range(2):
-            w[i] += u.data[j] * (dv[i, j] - dv[j, i])
-    # compare mean-free parts: the projector convention zeroes the k=0 mode
-    w -= np.mean(w, axis=(1, 2), keepdims=True)
-    wf = VectorField(grid64, w, "physical")
-    grad_part = wf.data - to_physical(leray_project(wf).field).data
-    s = np.sum(u.data * v.data, axis=0)
-    q = p + s
-    expected = -gradient(q - np.mean(q), grid64).data
-    scale = np.max(np.abs(expected)) + np.max(np.abs(wf.data))
-    assert np.max(np.abs(grad_part - expected)) / scale <= 1e-9
-
-
-def test_pressure_requires_divfree(grid32):
-    bad = random_field(grid32, seed=51)
-    good = random_divfree(grid32, seed=52)
-    with pytest.raises(ValueError):
-        recover_pressure(bad, good)

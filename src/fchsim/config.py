@@ -7,6 +7,7 @@ sweep lists, resolved family members) is enforced here, before any run starts.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .integrate import SolverParams
@@ -48,8 +49,15 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_float_list(text):
-    values = [float(piece) for piece in text.replace(",", " ").split()]
+    values = [_finite_float(piece) for piece in text.replace(",", " ").split()]
     if not values:
         raise ValueError("empty list")
     return tuple(values)
@@ -64,39 +72,39 @@ _SCHEMA = {
     "grid": {
         "dim": int,
         "points": int,
-        "box_length": float,
+        "box_length": _finite_float,
     },
     "solver": {
-        "nu": float,
-        "beta": float,
-        "alpha": float,
-        "dt": float,
-        "t_end": float,
+        "nu": _finite_float,
+        "beta": _finite_float,
+        "alpha": _finite_float,
+        "dt": _finite_float,
+        "t_end": _finite_float,
         "dealias": _parse_bool,
     },
     "datum": {
         "kind": str.strip,
-        "width": float,
-        "peak_speed": float,
+        "width": _finite_float,
+        "peak_speed": _finite_float,
         "seed": int,
-        "band_lo": float,
-        "band_hi": float,
-        "amplitude": float,
-        "epsilon": float,
+        "band_lo": _finite_float,
+        "band_hi": _finite_float,
+        "amplitude": _finite_float,
+        "epsilon": _finite_float,
     },
     "decay": {
-        "fit_t_lo": float,
-        "fit_t_hi": float,
+        "fit_t_lo": _finite_float,
+        "fit_t_hi": _finite_float,
     },
     "scaled-family": {
         "epsilons": _parse_float_list,
     },
     "alpha-sweep": {
         "alphas": _parse_float_list,
-        "l_exponent": float,
+        "l_exponent": _finite_float,
     },
     "kernel-check": {
-        "gamma0": float,
+        "gamma0": _finite_float,
         "dim": int,
     },
 }
@@ -171,7 +179,6 @@ class ExperimentConfig:
     epsilons: tuple = None
     alphas: tuple = None
     l_exponent: float = None
-    q_exponent: float = None
     kernel_gamma0: float = 2.0
     kernel_dim: int = 2
     seed: int = None
@@ -199,6 +206,13 @@ class ExperimentConfig:
             raise ConfigError("decay fits run on two-dimensional grids")
         if self.scenario == "alpha-sweep":
             self._check_alpha_sweep()
+        if self.scenario == "kernel-check":
+            # imported here so that the solver's import path never loads scipy
+            from .kernels import HeatKernelSpec
+            try:
+                HeatKernelSpec(self.kernel_gamma0, self.kernel_dim)
+            except ValueError as exc:
+                raise ConfigError(f"bad [kernel-check]: {exc}") from exc
 
     @property
     def datum_kind(self):
@@ -275,10 +289,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"l_exponent must stay below n/beta = {n / beta:.4g}, got {l}"
             )
-        s = l * n / (n - l * beta)
+        s = self.s_exponent
         if s <= 2.0:
             raise ConfigError(f"derived exponent s = {s:.4g} must exceed 2")
-        self.q_exponent = 2.0 * s / (s - 2.0)
+
+    @property
+    def s_exponent(self):
+        # s = l n / (n - l beta) of the convergence statement; sweep only
+        if self.scenario != "alpha-sweep":
+            return None
+        n, l = self.grid[0], self.l_exponent
+        return l * n / (n - l * self.params.beta)
+
+    @property
+    def q_exponent(self):
+        s = self.s_exponent
+        return None if s is None else 2.0 * s / (s - 2.0)
 
     @property
     def convergence_gamma(self):
@@ -298,12 +324,12 @@ def build_config(scenario, raw, out=None, seed=None):
             f"config declares scenario {declared!r} but {scenario!r} was invoked"
         )
 
-    kwargs = {"scenario": scenario}
-    experiment = typed.get("experiment", {})
-    if "output_dir" in experiment:
-        kwargs["output_dir"] = experiment["output_dir"]
-    if "sample_stride" in experiment:
-        kwargs["sample_stride"] = experiment["sample_stride"]
+    # keys that map straight onto ExperimentConfig fields
+    kwargs = {**typed.get("experiment", {}), "scenario": scenario}
+    for section in ("scaled-family", "alpha-sweep"):
+        kwargs.update(typed.get(section, {}))
+    for key, value in typed.get("kernel-check", {}).items():
+        kwargs["kernel_" + key] = value
     if "grid" in typed:
         section = typed["grid"]
         missing = {"dim", "points", "box_length"} - set(section)
@@ -328,18 +354,6 @@ def build_config(scenario, raw, out=None, seed=None):
         if not 0 <= section["fit_t_lo"] < section["fit_t_hi"]:
             raise ConfigError("[decay] fit window must satisfy 0 <= lo < hi")
         kwargs["fit_window"] = (section["fit_t_lo"], section["fit_t_hi"])
-    if "scaled-family" in typed:
-        kwargs["epsilons"] = typed["scaled-family"].get("epsilons")
-    if "alpha-sweep" in typed:
-        section = typed["alpha-sweep"]
-        kwargs["alphas"] = section.get("alphas")
-        kwargs["l_exponent"] = section.get("l_exponent")
-    if "kernel-check" in typed:
-        section = typed["kernel-check"]
-        if "gamma0" in section:
-            kwargs["kernel_gamma0"] = section["gamma0"]
-        if "dim" in section:
-            kwargs["kernel_dim"] = section["dim"]
     if out is not None:
         kwargs["output_dir"] = out
     if seed is not None:

@@ -4,18 +4,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import to_physical, to_spectral
+from .spectral import fractional_laplacian_symbol, to_physical, to_spectral
 
 
 @dataclass
 class EnergyRecord:
-    """One time sample of the energy balance.
-
-    E = |u|^2 + alpha^2 |grad u|^2 and D is the matching dissipation
-    |Lam^beta u|^2 + alpha^2 |grad Lam^beta u|^2; v_l2 and gradv_l2 are
-    squared norms of the unfiltered field; fhat_max is the largest
-    continuum-normalized Fourier amplitude of v.
-    """
+    """One time sample of the energy ledger (energy_ledger) and fhat_max,
+    the largest continuum-normalized Fourier amplitude of v."""
     t: float
     E: float
     D: float
@@ -59,31 +54,56 @@ def gradient_norm_sq(field, order=1):
     """Squared Sobolev seminorm |grad^m f|^2 = sum |k|^(2m) |fhat|^2."""
     fh = to_spectral(field)
     w = fh.grid.k_squared ** order if order else np.ones(fh.grid.shape)
-    return float(np.sum(w * np.sum(np.abs(fh.data) ** 2, axis=0))
-                 * fh.grid.mode_weight)
+    return float(np.sum(w * mode_power(fh.data)) * fh.grid.mode_weight)
+
+
+def mode_power(vhat):
+    """Per-mode |vhat|^2 of spectral data, summed over the components in
+    order; in place where it can, since the blow-up check runs it per step."""
+    power = np.abs(vhat)
+    power *= power
+    return sum(power[1:], power[0])
+
+
+def filtered_energy(amp2, grid, alpha):
+    """E = |u|^2 + alpha^2 |grad u|^2 of u = (1 - alpha^2 Laplace)^-1 v, from
+    the per-mode power amp2 of v: the filter acts per mode, so this is one
+    Parseval sum with the explicit mode weight."""
+    denominator = alpha ** 2 * grid.k_squared
+    denominator += 1.0
+    np.divide(amp2, denominator, out=denominator)
+    return float(np.sum(denominator) * grid.mode_weight)
+
+
+def energy_ledger(amp2, symbol, grid, alpha, decay=None):
+    """The one place a spectrum becomes E, D, |v|^2 and |grad v|^2.
+
+    amp2 is the per-mode power of v (mode_power), symbol the dissipation
+    symbol |k|^(2 beta) (spectral.fractional_laplacian_symbol) and `decay`
+    an optional per-mode factor on amp2, as the linear semigroup's
+    exp(-2 nu |k|^(2 beta) t).  D = |Lam^beta u|^2 + alpha^2 |grad Lam^beta
+    u|^2 is the filtered energy of Lam^beta v.
+    """
+    def decayed(power):
+        return power if decay is None else power * decay
+
+    power, w = decayed(amp2), grid.mode_weight
+    return {
+        "E": filtered_energy(power, grid, alpha),
+        "D": filtered_energy(decayed(symbol * amp2), grid, alpha),
+        "v_l2": float(np.sum(power) * w),
+        "gradv_l2": float(np.sum(decayed(grid.k_squared * amp2)) * w),
+    }
 
 
 def record_energy(state, params):
-    """Spectral evaluation of the energy balance at one state.
-
-    All sums use the explicit Parseval mode weight; the filter is applied
-    per mode, so E and D come straight from the spectrum of v.
-    """
+    """The energy ledger of a state, with its largest Fourier amplitude."""
     vh = state.v.field
-    grid = vh.grid
-    ksq = grid.k_squared
-    amp2 = np.sum(np.abs(vh.data) ** 2, axis=0)
-    denom = 1.0 + params.alpha ** 2 * ksq
-    w = grid.mode_weight
-    sym = np.zeros_like(ksq)
-    nz = ksq > 0
-    sym[nz] = ksq[nz] ** params.beta
-    E = float(np.sum(amp2 / denom) * w)
-    D = float(np.sum(sym * amp2 / denom) * w)
-    v_l2 = float(np.sum(amp2) * w)
-    gradv_l2 = float(np.sum(ksq * amp2) * w)
-    fhat_max = float(np.max(np.sqrt(amp2)) * grid.cell_volume)
-    return EnergyRecord(float(state.t), E, D, v_l2, gradv_l2, fhat_max)
+    amp2 = mode_power(vh.data)
+    fhat_max = float(np.max(np.sqrt(amp2)) * vh.grid.cell_volume)
+    symbol = fractional_laplacian_symbol(vh.grid, params.beta)
+    return EnergyRecord(float(state.t), fhat_max=fhat_max,
+                        **energy_ledger(amp2, symbol, vh.grid, params.alpha))
 
 
 def lp_norm(field, p):
@@ -201,21 +221,10 @@ def linear_decay_curve(v0, params, times):
     decay reports quote next to the measured fits.
     """
     vh = to_spectral(v0)
-    grid = vh.grid
-    ksq = grid.k_squared.ravel()
-    amp2 = np.sum(np.abs(vh.data) ** 2, axis=0).ravel()
-    sym = np.zeros_like(ksq)
-    nz = ksq > 0
-    sym[nz] = ksq[nz] ** params.beta
-    denom = 1.0 + params.alpha ** 2 * ksq
-    w = grid.mode_weight
-    times = np.asarray(times, dtype=float)
-    E = np.empty_like(times)
-    v_l2 = np.empty_like(times)
-    gradv_l2 = np.empty_like(times)
-    for i, t in enumerate(times):
-        decay = np.exp(-2.0 * params.nu * sym * t)
-        E[i] = np.sum(amp2 * decay / denom) * w
-        v_l2[i] = np.sum(amp2 * decay) * w
-        gradv_l2[i] = np.sum(ksq * amp2 * decay) * w
-    return {"E": E, "v_l2": v_l2, "gradv_l2": gradv_l2}
+    amp2 = mode_power(vh.data)
+    symbol = fractional_laplacian_symbol(vh.grid, params.beta)
+    rate = -2.0 * params.nu * symbol
+    ledgers = [energy_ledger(amp2, symbol, vh.grid, params.alpha, np.exp(rate * t))
+               for t in np.asarray(times, dtype=float)]
+    return {name: np.array([ledger[name] for ledger in ledgers], dtype=float)
+            for name in ("E", "v_l2", "gradv_l2")}

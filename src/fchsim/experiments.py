@@ -229,10 +229,9 @@ def run_decay_experiment(config, report):
     report["fit_window"] = list(window)
     report["caveats"] = [BOX_TRUNCATION_CAVEAT]
 
-    def grad2(state):
-        return (state.t, gradient_norm_sq(state.v.field, order=2))
-
-    summary = run(v0, params, observers=[grad2], stride=config.sample_stride)
+    grad2 = []
+    summary = run(v0, params, stride=config.sample_stride, observers=[
+        lambda s: grad2.append((s.t, gradient_norm_sq(s.v.field, order=2)))])
     records = summary.records
     write_energy_csv(records, os.path.join(out, "energy.csv"))
     report["artifacts"] = {"energy_csv": "energy.csv"}
@@ -250,7 +249,7 @@ def run_decay_experiment(config, report):
         "E": [(rec.t, rec.E) for rec in records],
         "v_l2": [(rec.t, rec.v_l2) for rec in records],
         "gradv_l2": [(rec.t, rec.gradv_l2) for rec in records],
-        "grad2v_l2": summary.observations[0],
+        "grad2v_l2": grad2,
     }
     report["theory_exponents"] = theory
     fits = {}
@@ -417,17 +416,14 @@ def run_alpha_sweep(config, report):
     gamma = config.convergence_gamma
     floor = params.beta / 2.0 - gamma
     out = config.output_dir
-    n = grid.dim
     report["exponents"] = {
-        "l": l, "s": l * n / (n - l * params.beta), "q": q,
+        "l": l, "s": config.s_exponent, "q": q,
         "gamma": gamma, "order_floor": floor}
     v0 = make_datum(config, grid)
 
-    def snap(state):
-        return (state.t, state.v.field)
-
-    ref_snaps = run(v0, params, observers=[snap],
-                    stride=config.sample_stride).observations[0]
+    ref_snaps = []
+    run(v0, params, stride=config.sample_stride,
+        observers=[lambda s: ref_snaps.append((s.t, s.v.field))])
     half = params.beta / 2.0
 
     def member(alpha):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import lp_norm
+from .diagnostics import lp_norm, mode_power
 from .spectral import SPECTRAL, VectorField, physical_multiply, to_spectral
 
 
@@ -47,8 +47,8 @@ def filter_identity_residual(v, alpha, m=0):
     k2 = grid.k_squared
     vh = to_spectral(v).data
     uh = vh / (1.0 + alpha**2 * k2)
-    amp_u = np.sum(np.abs(uh) ** 2, axis=0)
-    amp_v = np.sum(np.abs(vh) ** 2, axis=0)
+    amp_u = mode_power(uh)
+    amp_v = mode_power(vh)
     km = k2**m
     lhs = km * amp_u + 2.0 * alpha**2 * km * k2 * amp_u + alpha**4 * km * k2**2 * amp_u
     rhs = km * amp_v

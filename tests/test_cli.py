@@ -193,6 +193,29 @@ class TestExitCodes:
         assert main(args) == 2
         assert "configuration error: bad [datum]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, probe", [
+        ("alpha-sweep", ["alpha-sweep.alphas=0.2 nan 0.1 0.05",
+                         "alpha-sweep.l_exponent=2"]),
+        ("alpha-sweep", ["alpha-sweep.alphas=inf 0.2 0.1 0.05",
+                         "alpha-sweep.l_exponent=2"]),
+        ("alpha-sweep", ["alpha-sweep.alphas=0.2 0.1 0.05 0.025",
+                         "alpha-sweep.l_exponent=nan"]),
+        ("scaled-family", ["grid.points=128", "grid.box_length=100",
+                           "datum.width=4", "scaled-family.epsilons=1 nan 0.25"]),
+        ("simulate", ["datum.width=nan"]),
+        ("simulate", ["datum.kind=band-random", "datum.amplitude=inf"]),
+        ("kernel-check", ["kernel-check.gamma0=3"]),
+        ("kernel-check", ["kernel-check.dim=5"]),
+    ], ids=["nan-alpha", "inf-alpha", "nan-l-exponent", "nan-epsilon",
+            "nan-width", "inf-amplitude", "kernel-order-3", "kernel-dim-5"])
+    def test_non_finite_or_out_of_range_value_exits_two(self, tmp_path, capsys,
+                                                        scenario, probe):
+        args = [scenario, "--out", str(tmp_path)]
+        for entry in SMALL_RUN + probe:
+            args += ["--override", entry]
+        assert main(args) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_sweep_blow_up_exits_three(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "sweep.ini", BLOW_UP_SWEEP_INI)
         code = main(["alpha-sweep", "--config", ini,

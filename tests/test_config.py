@@ -170,6 +170,16 @@ class TestExperimentConfigValidation:
         assert config.q_exponent == pytest.approx(8.0 / 3.0, rel=1e-12)
         assert config.convergence_gamma == pytest.approx(0.125, rel=1e-12)
 
+    def test_sweep_exponents_are_derived_for_the_sweep_only(self):
+        params = SolverParams(nu=0.01, beta=0.75, alpha=0.0, dt=1e-3, t_end=1.0)
+        sweep = ExperimentConfig(scenario="alpha-sweep", params=params,
+                                 alphas=(0.2, 0.1, 0.05), l_exponent=2.0)
+        assert sweep.s_exponent == 2.0 * 2 / (2 - 2.0 * 0.75)
+        plain = ExperimentConfig(scenario="simulate", params=params,
+                                 l_exponent=2.0)
+        assert (plain.s_exponent, plain.q_exponent,
+                plain.convergence_gamma) == (None, None, None)
+
     def test_alpha_sweep_l_too_small(self):
         params = SolverParams(nu=0.01, beta=0.75, alpha=0.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ConfigError, match="l_exponent must exceed"):

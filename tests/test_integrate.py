@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fchsim import integrate
-from fchsim.diagnostics import gradient_norm_sq, l2_norm_sq
+from fchsim.diagnostics import (
+    gradient_norm_sq, l2_norm_sq, linear_decay_curve, mode_power,
+)
 from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
 from fchsim.helmholtz import apply_filter
 from fchsim.integrate import (
@@ -22,7 +24,9 @@ from fchsim.integrate import (
     scaled_bump,
     stream_bump,
 )
-from fchsim.spectral import SpectralGrid, VectorField, hermitian_defect, to_physical, to_spectral
+from fchsim.spectral import (
+    SPECTRAL, SpectralGrid, VectorField, hermitian_defect, to_physical, to_spectral,
+)
 
 from conftest import random_divfree
 
@@ -176,10 +180,10 @@ def test_run_zero_horizon(grid32):
 def test_observer_stride_counting(grid32):
     v0 = random_divfree(grid32, seed=12, amplitude=0.2)
     params = make_params(dt=0.01, t_end=1.0)
-    summary = run(v0, params, observers=[lambda s: s.t], stride=10)
+    times = []
+    summary = run(v0, params, observers=[lambda s: times.append(s.t)], stride=10)
     assert summary.steps == 100
     assert len(summary.records) == 11
-    times = summary.observations[0]
     assert len(times) == 11
     assert times[0] == 0.0
     assert abs(times[-1] - 1.0) <= 1e-12
@@ -200,6 +204,59 @@ def test_blow_up_raises_with_partial_records(grid32):
         run(v0, params)
     assert info.value.t > 0.0
     assert len(info.value.records) >= 1
+
+
+@pytest.mark.parametrize("dim, n, alpha", [(2, 32, 0.5), (3, 16, 0.0)],
+                         ids=["2d-alpha", "3d-alpha0"])
+def test_linear_records_match_linear_decay_curve(monkeypatch, dim, n, alpha):
+    # with the nonlinear term off the run is the linear semigroup, so every
+    # record reads the same ledger as linear_decay_curve, to roundoff; the
+    # uneven horizon takes in the closing step's own factors
+    def zero(u, v, dealias=True):
+        return VectorField.zeros(u.grid, SPECTRAL)
+
+    monkeypatch.setattr(integrate, "ch_nonlinear_term", zero)
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    params = make_params(alpha=alpha, dt=0.01, t_end=0.305)
+    v0 = band_random(grid, seed=21, band=(1.0, 5.0))
+    records = run(v0, params, stride=3).records
+    assert len(records) == 12
+    times = [rec.t for rec in records]
+    curves = linear_decay_curve(prepare_initial_state(v0, params).v.field,
+                                params, times)
+    for name in ("E", "v_l2", "gradv_l2"):
+        got = np.array([getattr(rec, name) for rec in records])
+        assert np.max(np.abs(got - curves[name]) / curves[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_mode_power_is_the_plain_sum_bit_for_bit(dim, n):
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    vhat = to_spectral(band_random(grid, seed=23, band=(1.0, 6.0))).data
+    assert np.array_equal(mode_power(vhat), np.sum(np.abs(vhat) ** 2, axis=0))
+
+
+def test_non_finite_coefficient_blows_up_at_its_step(grid32, monkeypatch):
+    # a NaN in the fourth stage of the third step reaches the state; the
+    # per-step energy check stops the run at that step's time, with the
+    # records of the steps before it
+    calls = []
+
+    def poisoned(u, v, dealias=True):
+        out = ch_nonlinear_term(u, v, dealias=dealias)
+        calls.append(None)
+        if len(calls) == 12:
+            out.data[(0,) + (1, 2) + (0,) * (grid32.dim - 2)] = np.nan
+        return out
+
+    monkeypatch.setattr(integrate, "ch_nonlinear_term", poisoned)
+    params = make_params(dt=0.01, t_end=0.1)
+    with pytest.raises(BlowUpError) as info:
+        run(random_divfree(grid32, seed=22, amplitude=0.5), params)
+    assert len(calls) == 12
+    assert info.value.t == pytest.approx(0.03, rel=1e-12)
+    assert [rec.t for rec in info.value.records] == pytest.approx([0.0, 0.01, 0.02])
+    assert all(np.isfinite(rec.E) for rec in info.value.records)
 
 
 def test_state_stays_real_and_divergence_free(grid32):

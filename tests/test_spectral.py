@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import fchsim
 from fchsim.spectral import (
     SpectralGrid, VectorField,
     transform, to_spectral, to_physical, hermitian_defect,
-    fractional_laplacian,
+    fractional_laplacian, fractional_laplacian_symbol,
     gradient, divergence, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
     half_derivative_multipliers, inverse_buffer, physical_multiply,
@@ -389,3 +390,23 @@ def test_transforms_live_in_spectral_only():
         elif hits and path.name not in allowed:
             offenders.append(path.name)
     assert offenders == []
+
+
+# k_squared (or a local name for it) raised to a dissipation exponent, as
+# "ksq[nz] ** beta", "grid.k_squared**params.beta" or np.power(k_sq, beta)
+_BETA_POWER = re.compile(
+    r"\b(?:k_squared|ksq|k_sq)\b(?:\[[^\]]*\])?\s*\*\*\s*\(?\s*[\w.]*beta\b|"
+    r"\bpower\(\s*[\w.]*\b(?:k_squared|ksq|k_sq)\b[^,]*,\s*[\w.]*beta\b")
+
+
+def test_dissipation_symbol_lives_in_spectral_only():
+    # One symbol |k|^(2 beta): every solver module takes it from
+    # fractional_laplacian_symbol; kernels.py keeps its own copies as an
+    # independent oracle.
+    package = Path(fchsim.__file__).parent
+    found = {path.name: _BETA_POWER.findall(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(_BETA_POWER.findall(inspect.getsource(fractional_laplacian_symbol))) == 1
+    assert len(found.pop("spectral.py")) == 1     # that one use, and no other
+    assert found.pop("kernels.py")                # the scan sees the oracle's
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -276,6 +276,8 @@ class ExperimentConfig:
         l = self.l_exponent
         if l is None:
             raise ConfigError("alpha-sweep needs l_exponent")
+        if l < 1.0:
+            raise ConfigError(f"l_exponent must be >= 1 (an L^l norm), got {l}")
         if 3.0 * beta - 1.0 <= 0.0:
             raise ConfigError(
                 f"convergence theory needs beta > 1/3, got beta = {beta}"

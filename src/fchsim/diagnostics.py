@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import fractional_laplacian_symbol, to_physical, to_spectral
+from .spectral import (
+    fractional_laplacian_symbol, helmholtz_symbol, to_physical, to_spectral)
 
 
 @dataclass
@@ -69,8 +70,7 @@ def filtered_energy(amp2, grid, alpha):
     """E = |u|^2 + alpha^2 |grad u|^2 of u = (1 - alpha^2 Laplace)^-1 v, from
     the per-mode power amp2 of v: the filter acts per mode, so this is one
     Parseval sum with the explicit mode weight."""
-    denominator = alpha ** 2 * grid.k_squared
-    denominator += 1.0
+    denominator = helmholtz_symbol(alpha, grid.k_squared)
     np.divide(amp2, denominator, out=denominator)
     return float(np.sum(denominator) * grid.mode_weight)
 
@@ -101,7 +101,7 @@ def record_energy(state, params):
     vh = state.v.field
     amp2 = mode_power(vh.data)
     fhat_max = float(np.max(np.sqrt(amp2)) * vh.grid.cell_volume)
-    symbol = fractional_laplacian_symbol(vh.grid, params.beta)
+    symbol = fractional_laplacian_symbol(vh.grid.k_squared, params.beta)
     return EnergyRecord(float(state.t), fhat_max=fhat_max,
                         **energy_ledger(amp2, symbol, vh.grid, params.alpha))
 
@@ -152,7 +152,8 @@ def fit_decay(series, window):
     return DecayFit(t_lo, t_hi, float(slope), float(intercept), r2)
 
 
-def _cumulative_trapezoid(t, y):
+def cumulative_trapezoid(t, y):
+    """Running trapezoid integral of the samples y(t), from 0 at t[0]."""
     out = np.zeros_like(t)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
     return out
@@ -167,8 +168,8 @@ def fourier_amplitude_bound_check(records):
     """
     t = np.array([r.t for r in records])
     fhat = np.array([r.fhat_max for r in records])
-    iu = _cumulative_trapezoid(t, np.array([r.v_l2 for r in records]))
-    ig = _cumulative_trapezoid(t, np.array([r.gradv_l2 for r in records]))
+    iu = cumulative_trapezoid(t, np.array([r.v_l2 for r in records]))
+    ig = cumulative_trapezoid(t, np.array([r.gradv_l2 for r in records]))
     denom = 1.0 + np.sqrt(iu) * np.sqrt(ig)
     ratio = fhat / denom
     n = len(ratio)
@@ -191,7 +192,7 @@ def time_average_decay_check(records):
     """
     t = np.array([r.t for r in records])
     v = np.sqrt(np.array([r.v_l2 for r in records]))
-    integral = _cumulative_trapezoid(t, v)
+    integral = cumulative_trapezoid(t, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.where(t > 0, integral / np.where(t > 0, t, 1.0), v)
     half = len(t) // 2
@@ -222,7 +223,7 @@ def linear_decay_curve(v0, params, times):
     """
     vh = to_spectral(v0)
     amp2 = mode_power(vh.data)
-    symbol = fractional_laplacian_symbol(vh.grid, params.beta)
+    symbol = fractional_laplacian_symbol(vh.grid.k_squared, params.beta)
     rate = -2.0 * params.nu * symbol
     ledgers = [energy_ledger(amp2, symbol, vh.grid, params.alpha, np.exp(rate * t))
                for t in np.asarray(times, dtype=float)]

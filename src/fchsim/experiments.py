@@ -21,6 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .diagnostics import (
     EnergyRecord,
+    cumulative_trapezoid,
     default_fit_window,
     fit_decay,
     fourier_amplitude_bound_check,
@@ -48,7 +49,9 @@ from .spectral import (
     SPECTRAL,
     SpectralGrid,
     VectorField,
+    apply_multiplier,
     fractional_laplacian,
+    helmholtz_symbol,
     to_spectral,
 )
 
@@ -128,12 +131,19 @@ def _finish(report, out_dir):
     return report
 
 
-def write_energy_csv(records, path):
+def _csv_row(values):
+    """One CSV row, every value at full precision (%.17g round-trips)."""
+    return ",".join("%.17g" % x for x in values)
+
+
+def _write_csv(path, header, rows):
     _ensure_dir(os.path.dirname(path))
-    lines = [EnergyRecord.CSV_HEADER]
-    lines.extend(",".join("%.17g" % x for x in rec.as_row()) for rec in records)
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join([header] + [_csv_row(row) for row in rows]) + "\n")
+
+
+def write_energy_csv(records, path):
+    _write_csv(path, EnergyRecord.CSV_HEADER, (rec.as_row() for rec in records))
 
 
 def _blow_up_report(report, err, out_dir):
@@ -321,12 +331,11 @@ def run_scaled_family(config, report):
     base_l2 = l2_norm_sq(u_base)
     base_grad = gradient_norm_sq(u_base)
     report["u0_l2_sq"] = base_l2
-    alpha2 = params.alpha ** 2
 
     def member(eps):
         u0 = make_datum(config, grid, eps=eps)
-        vh = to_spectral(u0).data * (1.0 + alpha2 * grid.k_squared)
-        v0 = VectorField(grid, vh, SPECTRAL)
+        v0 = apply_multiplier(to_spectral(u0),
+                              lambda k_squared: helmholtz_symbol(params.alpha, k_squared))
         return {
             "eps": eps,
             "l2_deviation": abs(np.sqrt(l2_norm_sq(u0) / base_l2) - 1.0),
@@ -460,12 +469,8 @@ def run_alpha_sweep(config, report):
         "than the generic 2.",
     ]
 
-    lines = ["alpha,max_distance,uniform_bound"]
-    lines.extend("%.17g,%.17g,%.17g" % (e["alpha"], e["max_distance"],
-                                        e["uniform_bound"]) for e in entries)
-    _ensure_dir(out)
-    with open(os.path.join(out, "distances.csv"), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "distances.csv"), "alpha,max_distance,uniform_bound",
+               ((e["alpha"], e["max_distance"], e["uniform_bound"]) for e in entries))
     report["artifacts"] = {"distances_csv": "distances.csv"}
 
     for entry in entries:
@@ -576,19 +581,14 @@ def run_kernel_check(config, report):
         kernel_lp_norm_slope,
         normalization_constant,
         predicted_lp_slope,
+        scaling_law_deviation,
     )
 
     gamma0 = config.kernel_gamma0
     n = config.kernel_dim
     spec = HeatKernelSpec(gamma0, n)
 
-    radii = np.linspace(0.0, 6.0, 121)
-    worst = 0.0
-    for t in (0.5, 2.0, 5.0):
-        direct = heat_kernel_values(spec, t, radii)
-        rescaled = t ** (-n / gamma0) * heat_kernel_values(
-            spec, 1.0, t ** (-1.0 / gamma0) * radii)
-        worst = max(worst, float(np.max(np.abs(direct - rescaled))))
+    worst = scaling_law_deviation(spec, (0.5, 2.0, 5.0), np.linspace(0.0, 6.0, 121))
     _check(report, "kernel scaling law", worst <= 1e-10,
            f"max abs deviation {worst:.3e} at gamma0 = {gamma0:g}")
 
@@ -643,8 +643,8 @@ def run_selftest(config, report):
     """Fast all-module battery; a fresh checkout passes everything."""
     # imported here so that the solver's import path never loads scipy
     from .kernels import (
-        HeatKernelSpec, heat_kernel_values, mild_solution_picard,
-        normalization_constant)
+        HeatKernelSpec, mild_solution_picard, normalization_constant,
+        scaling_law_deviation)
 
     out = config.output_dir
     started = time.perf_counter()
@@ -677,8 +677,7 @@ def run_selftest(config, report):
     t = np.array([rec.t for rec in summary.records])
     E = np.array([rec.E for rec in summary.records])
     D = np.array([rec.D for rec in summary.records])
-    dissipated = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (D[1:] + D[:-1]) * np.diff(t))])
+    dissipated = cumulative_trapezoid(t, D)
     drift = float(np.max(np.abs(E - (E[0] - 2.0 * params.nu * dissipated))))
     _check(report, "energy balance drift small", drift <= 1e-5 * E[0],
            f"max drift {drift:.3e} against E(0) = {E[0]:.4f}")
@@ -707,17 +706,12 @@ def run_selftest(config, report):
     for _ in range(2):
         redo = run(band_random(grid, seed=5, band=(2.0, 6.0), amplitude=0.8),
                    tiny, stride=2)
-        rows.append([",".join("%.17g" % x for x in rec.as_row())
-                     for rec in redo.records])
+        rows.append([_csv_row(rec.as_row()) for rec in redo.records])
     _check(report, "identical runs give identical streams",
            rows[0] == rows[1], f"{len(rows[0])} records compared")
 
-    spec = HeatKernelSpec(1.5, 2)
-    radii = np.linspace(0.0, 5.0, 51)
-    dev = float(np.max(np.abs(
-        heat_kernel_values(spec, 2.0, radii)
-        - 2.0 ** (-2 / 1.5) * heat_kernel_values(spec, 1.0,
-                                                 2.0 ** (-1 / 1.5) * radii))))
+    dev = scaling_law_deviation(HeatKernelSpec(1.5, 2), (2.0,),
+                                np.linspace(0.0, 5.0, 51))
     _check(report, "kernel scaling law", dev <= 1e-10,
            f"max abs deviation {dev:.3e}")
     anchor = normalization_constant(1, 0.5)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diagnostics import lp_norm, mode_power
-from .spectral import SPECTRAL, VectorField, physical_multiply, to_spectral
+from .spectral import apply_multiplier, helmholtz_symbol, to_spectral
 
 
 def _check_width(alpha):
@@ -29,13 +29,7 @@ def apply_filter(v, alpha):
     _check_width(alpha)
     if alpha == 0.0:
         return v.copy()
-
-    def symbol(k_squared):
-        return 1.0 / (1.0 + alpha**2 * k_squared)
-
-    if v.is_spectral:
-        return VectorField(v.grid, v.data * symbol(v.grid.k_squared), SPECTRAL)
-    return physical_multiply(v, symbol)
+    return apply_multiplier(v, lambda k_squared: 1.0 / helmholtz_symbol(alpha, k_squared))
 
 
 def filter_identity_residual(v, alpha, m=0):
@@ -43,10 +37,9 @@ def filter_identity_residual(v, alpha, m=0):
     _check_width(alpha)
     if m < 0 or m != int(m):
         raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
-    grid = v.grid
-    k2 = grid.k_squared
+    k2 = v.grid.k_squared
     vh = to_spectral(v).data
-    uh = vh / (1.0 + alpha**2 * k2)
+    uh = vh / helmholtz_symbol(alpha, k2)
     amp_u = mode_power(uh)
     amp_v = mode_power(vh)
     km = k2**m

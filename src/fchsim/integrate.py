@@ -107,7 +107,7 @@ class RunSummary:
 
 
 def _integrating_factors(grid, params, dt):
-    lam = params.nu * fractional_laplacian_symbol(grid, params.beta)
+    lam = params.nu * fractional_laplacian_symbol(grid.k_squared, params.beta)
     return np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
 
 

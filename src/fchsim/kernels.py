@@ -122,6 +122,16 @@ def heat_kernel_values(spec, t, radii):
     return fine
 
 
+def scaling_law_deviation(spec, times, radii):
+    """Worst |G(t, r) - t^(-n/gamma0) G(1, t^(-1/gamma0) r)| over the times:
+    the kernel is self-similar, so this is quadrature error."""
+    n, gamma0 = spec.dim, spec.gamma0
+    return max(float(np.max(np.abs(
+        heat_kernel_values(spec, t, radii) - t ** (-n / gamma0)
+        * heat_kernel_values(spec, 1.0, t ** (-1.0 / gamma0) * radii))))
+        for t in times)
+
+
 def kernel_lp_norm(spec, t, p, k=0, a=0.0):
     """Discrete L^p norm of D^k Lambda^a G(t, .) over R^n (radial quadrature)."""
     t = float(t)

@@ -1,7 +1,7 @@
 """Discrete Fourier infrastructure on periodic boxes.
 
-Grids, forward/inverse transforms, Fourier multipliers (including the
-fractional Laplacian), spectral differentiation and 2/3-rule dealiasing.
+Grids, transforms, spectral differentiation, 2/3-rule dealiasing, every Fourier
+symbol of the solver, and apply_multiplier, the one route of a symbol to a field.
 
 Conventions fixed here and relied on everywhere else:
   - forward transform is the unnormalized DFT, the inverse carries the
@@ -9,7 +9,7 @@ Conventions fixed here and relied on everywhere else:
   - every transform of the solver goes through real_forward/real_inverse:
     physical data is real, so the spectrum is Hermitian, F(-k) = conj F(k)
   - memory layout: a spectrum the solver builds only to invert it (the
-    nonlinear term's derivative spectra, the filter's spectrum of a physical
+    nonlinear term's derivative spectra, a multiplier's spectrum of a physical
     field) is held in transform order, its spatial axes reversed in memory,
     so that the leading complex passes of irfftn run along contiguous
     memory; the state, every other spectrum and every physical array are
@@ -309,15 +309,15 @@ def real_inverse(spectrum, axes, out=None):
                          axes=axes, out=out)
 
 
-def physical_multiply(field, symbol):
-    """A physical field under the real Fourier multiplier symbol(|k|^2).
-
-    Bit for bit to_physical of to_spectral(field).data * symbol(k_squared),
-    but the spectrum, which is only inverted, is formed on the modes
-    0 <= m <= N/2 of the last axis alone and held in transform order, and
-    the symbol is evaluated there alone.
-    """
+def apply_multiplier(field, symbol):
+    """A field under the real Fourier multiplier symbol(|k|^2), in its own
+    representation: data * symbol(k_squared) for a spectral field.  A physical
+    field comes back bit for bit as to_physical of that product, but its
+    spectrum, which is only inverted, is formed on the modes 0 <= m <= N/2 of
+    the last axis alone, in transform order, and the symbol evaluated there."""
     grid = field.grid
+    if field.is_spectral:
+        return VectorField(grid, field.data * symbol(grid.k_squared), SPECTRAL)
     axes = _spatial_axes(grid)
     full = inverse_buffer(field.data.shape, axes)
     index = _half_index(full.shape, axes)
@@ -369,26 +369,26 @@ def hermitian_defect(field):
     return float(np.max(np.abs(back.imag)))
 
 
-def fractional_laplacian_symbol(grid, beta):
-    """|k|^(2*beta) on the lattice, with the zero mode explicitly 0."""
-    ksq = grid.k_squared
-    out = np.zeros_like(ksq)
-    nz = ksq > 0
-    out[nz] = ksq[nz] ** beta
+def fractional_laplacian_symbol(k_squared, beta):
+    """|k|^(2*beta) on an array of |k|^2, with the zero mode explicitly 0."""
+    out = np.zeros_like(k_squared)
+    nz = k_squared > 0
+    out[nz] = k_squared[nz] ** beta
     return out
 
 
-def fractional_laplacian(field, beta):
-    """(-Laplace)^beta via the multiplier |k|^(2*beta).
+def helmholtz_symbol(alpha, k_squared):
+    """1 + alpha^2 |k|^2 on an array of |k|^2, alpha^2 |k|^2 formed first."""
+    symbol = alpha ** 2 * k_squared
+    return np.add(symbol, 1.0, out=symbol)
 
-    Accepts either representation and returns the same one.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0, 1], got %r" % (beta,))
-    fh = to_spectral(field)
-    vals = fractional_laplacian_symbol(field.grid, beta)
-    out = VectorField(field.grid, fh.data * vals, SPECTRAL)
-    return out if field.is_spectral else to_physical(out)
+
+def fractional_laplacian(field, beta):
+    """(-Laplace)^beta via the multiplier |k|^(2*beta), in the field's own
+    representation; beta must be positive and finite, as in SolverParams."""
+    if not (0.0 < beta < np.inf):
+        raise ValueError("beta must be positive and finite, got %r" % (beta,))
+    return apply_multiplier(field, lambda ksq: fractional_laplacian_symbol(ksq, beta))
 
 
 def _scalar_forward(grid, f):
@@ -429,9 +429,7 @@ def divergence(field):
 def laplacian(field, grid=None):
     """Laplacian of a VectorField or of a scalar array (grid required)."""
     if isinstance(field, VectorField):
-        fh = to_spectral(field)
-        out = VectorField(field.grid, -field.grid.k_squared * fh.data, SPECTRAL)
-        return out if field.is_spectral else to_physical(out)
+        return apply_multiplier(field, np.negative)
     if grid is None:
         raise ValueError("scalar laplacian needs the grid")
     return _scalar_inverse(grid, -grid.k_squared * _scalar_forward(grid, field))

@@ -206,8 +206,12 @@ class TestExitCodes:
         ("simulate", ["datum.kind=band-random", "datum.amplitude=inf"]),
         ("kernel-check", ["kernel-check.gamma0=3"]),
         ("kernel-check", ["kernel-check.dim=5"]),
+        # inside (n/(3 beta - 1), n/beta) = (0.31, 0.8), but no L^l norm
+        ("alpha-sweep", ["solver.beta=2.5", "alpha-sweep.alphas=0.2 0.1 0.05 0.025",
+                         "alpha-sweep.l_exponent=0.7"]),
     ], ids=["nan-alpha", "inf-alpha", "nan-l-exponent", "nan-epsilon",
-            "nan-width", "inf-amplitude", "kernel-order-3", "kernel-dim-5"])
+            "nan-width", "inf-amplitude", "kernel-order-3", "kernel-dim-5",
+            "l-exponent-below-one"])
     def test_non_finite_or_out_of_range_value_exits_two(self, tmp_path, capsys,
                                                         scenario, probe):
         args = [scenario, "--out", str(tmp_path)]
@@ -243,6 +247,20 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "[PASS]" in proc.stdout
+        assert (tmp_path / "report.json").exists()
+
+    def test_3d_sweep_with_beta_above_one_writes_its_report(self, tmp_path):
+        # the fold's half-order derivative has beta / 2 = 1.1
+        ini = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "alpha_sweep_2d.ini")
+        args = ["alpha-sweep", "--config", ini, "--out", str(tmp_path)]
+        for entry in ("grid.dim=3", "grid.points=8", "solver.t_end=0.02",
+                      "solver.beta=2.2", "alpha-sweep.l_exponent=1.2"):
+            args += ["--override", entry]
+        proc = subprocess.run([sys.executable, "-m", "fchsim.cli"] + args,
+                              capture_output=True, text=True, timeout=300)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
 
     def test_solver_import_leaves_scipy_oracles_unloaded(self):

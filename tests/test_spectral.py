@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fchsim
+from fchsim.helmholtz import filter_identity_residual
 from fchsim.spectral import (
     SpectralGrid, VectorField,
     transform, to_spectral, to_physical, hermitian_defect,
-    fractional_laplacian, fractional_laplacian_symbol,
+    fractional_laplacian, fractional_laplacian_symbol, helmholtz_symbol,
     gradient, divergence, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
-    half_derivative_multipliers, inverse_buffer, physical_multiply,
+    half_derivative_multipliers, inverse_buffer, apply_multiplier,
 )
 from conftest import random_field
 
@@ -131,10 +132,26 @@ def test_fractional_laplacian_single_mode_physical():
 
 
 def test_fractional_laplacian_beta_domain(grid32):
+    # the rule of SolverParams and of the stepper's symbol: positive, finite
     f = random_field(grid32, seed=5)
-    for bad in (0.0, -0.3, 1.2):
+    for bad in (0.0, -0.3, np.nan, np.inf):
         with pytest.raises(ValueError):
             fractional_laplacian(f, bad)
+
+
+def test_fractional_laplacian_beyond_one_applies_the_symbol():
+    g = SpectralGrid(2, 16, 2.0 * np.pi)
+    f = VectorField.zeros(g, "spectral")
+    f.data[1][3, 4] = 1.0 - 0.5j
+    out = fractional_laplacian(f, 1.2)
+    # |k|^{2*1.2} = 5^2.4 at mode (3, 4)
+    expected = 5.0 ** 2.4 * (1.0 - 0.5j)
+    assert abs(out.data[1][3, 4] - expected) <= 1e-15 * abs(expected)
+    assert np.count_nonzero(out.data) == 1
+    x = g.coordinate_mesh()
+    wave = VectorField.from_components(g, [np.sin(3 * x[0]), np.zeros(g.shape)])
+    assert np.max(np.abs(fractional_laplacian(wave, 1.2).data[0]
+                         - 3.0 ** 2.4 * np.sin(3 * x[0]))) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -341,18 +358,36 @@ def test_half_derivative_multipliers_are_the_grids(dim, n):
 
 
 @pytest.mark.parametrize("dim, n", DFT_CASES)
-def test_physical_multiply_is_the_spectral_product(dim, n):
+def test_apply_multiplier_is_the_spectral_product(dim, n):
     grid = SpectralGrid(dim, n, 3.0)
     f = random_field(grid, seed=n + dim)
 
     def symbol(k_squared):
         return 1.0 / (1.0 + 0.3 * k_squared)
 
-    expected = to_physical(
-        VectorField(grid, to_spectral(f).data * symbol(grid.k_squared), "spectral"))
-    got = physical_multiply(f, symbol)
+    product = to_spectral(f).data * symbol(grid.k_squared)
+    spectral = apply_multiplier(to_spectral(f), symbol)
+    assert spectral.is_spectral and np.array_equal(spectral.data, product)
+    got = apply_multiplier(f, symbol)
     assert got.representation == "physical" and got.data.flags.c_contiguous
-    assert np.array_equal(got.data, expected.data)
+    assert np.array_equal(got.data, to_physical(VectorField(grid, product, "spectral")).data)
+
+
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+@pytest.mark.parametrize("operator", [
+    lambda f: fractional_laplacian(f, 0.75), lambda f: fractional_laplacian(f, 1.2),
+    laplacian], ids=["beta-0.75", "beta-1.2", "laplacian"])
+def test_physical_operator_is_the_inverse_of_its_spectral_route(operator, dim, n):
+    grid = SpectralGrid(dim, n, 3.0)
+    f = random_field(grid, seed=7 * n + dim)
+    got = operator(f)
+    assert not got.is_spectral
+    assert np.array_equal(got.data, to_physical(operator(to_spectral(f))).data)
+
+
+def test_laplacian_is_minus_k_squared_bit_for_bit(grid32):
+    fh = to_spectral(random_field(grid32, seed=17))
+    assert np.array_equal(laplacian(fh).data, -grid32.k_squared * fh.data)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
@@ -410,3 +445,31 @@ def test_dissipation_symbol_lives_in_spectral_only():
     assert len(found.pop("spectral.py")) == 1     # that one use, and no other
     assert found.pop("kernels.py")                # the scan sees the oracle's
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# alpha^2 |k|^2, the weight of the Helmholtz symbol 1 + alpha^2 |k|^2, with
+# alpha^2 spelled "alpha**2", "alpha2", "alpha_sq" or "np.square(alpha)" and
+# |k|^2 a k_squared, ksq, k_sq or k2, in either order
+_ALPHA_SQUARED = (r"(?:\b[\w.]*alpha\s*\*\*\s*2(?![\d.])|\b\w*alpha(?:2|_sq\w*)\b|"
+                  r"np\.square\(\s*[\w.]*alpha\s*\))")
+_K_SQUARED = r"\b[\w.]*(?:k_squared|ksq|k_sq|k2)\b(?:\[[^\]]*\])?"
+_HELMHOLTZ_WEIGHT = re.compile(
+    rf"{_ALPHA_SQUARED}\s*\*\s*{_K_SQUARED}|{_K_SQUARED}\s*\*\s*{_ALPHA_SQUARED}")
+
+
+def test_helmholtz_symbol_lives_in_spectral_only():
+    # One filter symbol: apply_filter, filter_identity_residual, the energy
+    # ledger and the scaled family's u0 -> v0 all take helmholtz_symbol.
+    for spelling in ("1.0 / (1.0 + alpha**2 * k_squared)", "1.0 + alpha2 * grid.k_squared",
+                     "alpha ** 2 * grid.k_squared", "k2 * np.square(params.alpha) + 1"):
+        assert _HELMHOLTZ_WEIGHT.search(spelling)
+    package = Path(fchsim.__file__).parent
+    found = {path.name: _HELMHOLTZ_WEIGHT.findall(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(_HELMHOLTZ_WEIGHT.findall(inspect.getsource(helmholtz_symbol))) == 1
+    assert len(found.pop("spectral.py")) == 1     # that one use, and no other
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    # the 2 alpha^2 and alpha^4 weights of the three-term identity are what
+    # the residual checks: they stay, and the scan passes over them
+    residual = inspect.getsource(filter_identity_residual)
+    assert "2.0 * alpha**2 * km * k2" in residual and "alpha**4 * km * k2**2" in residual

@@ -12,6 +12,7 @@ report["passed"].
 import dataclasses
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -33,12 +34,13 @@ from .diagnostics import (
     solution_distance,
     time_average_decay_check,
 )
-from .fields import ch_nonlinear_term, map_on_worker
+from .fields import _cpu_count, ch_nonlinear_term, map_on_worker
 from .helmholtz import apply_filter, filter_convergence_curve, filter_identity_residual
 from .integrate import (
     BlowUpError,
     SolverParams,
     band_random,
+    hold_freed_memory,
     prepare_initial_state,
     run,
     scaled_bump,
@@ -125,8 +127,21 @@ def write_report(report, path):
         handle.write("\n")
 
 
+def _environment():
+    """What produced the run's timings: versions, the CPUs the process may
+    use, and whether it keeps its freed memory (integrate.hold_freed_memory,
+    which every run applies)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_affinity": _cpu_count(),
+        "holds_freed_memory": hold_freed_memory(),
+    }
+
+
 def _finish(report, out_dir):
     report["passed"] = all(entry["passed"] for entry in report["assertions"])
+    report["environment"] = _environment()
     write_report(report, os.path.join(out_dir, "report.json"))
     return report
 

@@ -3,9 +3,9 @@
 Leray projection onto divergence-free fields, the filtered-advection
 nonlinear term u.grad(v) + v.grad(u)^T and the symmetrization identity
 behind pressure elimination.  The module also owns the process's one worker
-thread.  Both of its uses, the nonlinear term's second lane and the second
-item of each pair in map_on_worker, go through _on_both, which tries the
-worker and never waits for it.
+thread.  All three of its uses go through _on_both, which tries the worker
+and never waits for it: the nonlinear term's forward transform of v, its
+second lane, and the second item of each pair in map_on_worker.
 
 Index convention used throughout: (v.grad(u)^T)_i = sum_j v_j d_i u_j,
 while (u.grad(v))_i = sum_j u_j d_j v_i.
@@ -19,20 +19,21 @@ from functools import partial
 import numpy as np
 
 from .spectral import (
-    SPECTRAL, VectorField, dealias as dealias_modes, half_derivative_multipliers,
-    inverse_buffer, real_forward, real_inverse, to_spectral,
-    _scalar_forward, _scalar_inverse,
+    SPECTRAL, VectorField, dealias as dealias_modes, half_buffer,
+    half_derivative_multipliers, inverse_buffer, real_forward, real_inverse,
+    to_spectral, _forward_half, _scalar_forward, _scalar_inverse,
 )
 
-# ch_nonlinear_term runs its second lane on a worker thread only when a
-# scalar transform has at least this many points and the process may use
-# two CPUs.  One RHS on a 2-core host, one thread -> two lanes, medians of
-# interleaved calls (200 at 128^2, 60 at 256^2, 40 above) in two runs:
-# 128^2 8.4 -> 8.1 and 8.1 -> 7.9 ms, 256^2 22.1 -> 22.1 and 29.4 -> 26.7 ms,
-# 512^2 110 -> 97 and 132 -> 111 ms, 48^3 (alpha = 0) 125 -> 107 and
-# 114 -> 95 ms.  Below 2^16 points the hand-off saves under a millisecond
-# per call, so small grids stay on one thread; the 128^2 alpha sweep uses
-# the second core through map_on_worker instead.
+# ch_nonlinear_term hands its forward transform of v and its second lane to
+# the worker thread only when a scalar transform has at least this many
+# points and the process may use two CPUs; map_on_worker's pairs use the
+# worker at every size.  For the lanes alone, one RHS on a 2-core host, one
+# thread -> two lanes, medians of interleaved calls (200 at 128^2, 60 at
+# 256^2, 40 above) in two runs: 128^2 8.4 -> 8.1 and 8.1 -> 7.9 ms, 256^2
+# 22.1 -> 22.1 and 29.4 -> 26.7 ms, 512^2 110 -> 97 and 132 -> 111 ms, 48^3
+# (alpha = 0) 125 -> 107 and 114 -> 95 ms.  Below 2^16 points the hand-off
+# saves under a millisecond per call, so small grids stay on one thread; the
+# 128^2 alpha sweep uses the second core through map_on_worker instead.
 THREADED_MIN_POINTS = 2 ** 16
 # The one worker thread, and the lock its one user at a time holds.
 _POOL = None
@@ -221,8 +222,9 @@ def ch_nonlinear_term(u, v, dealias=True):
     a reused spectral and physical buffer and is folded into the product at
     once, as u_b d_b v_a into component a and v_a d_b u_a into component b.
     The terms run in two lanes by output component (_lanes); on grids of at
-    least THREADED_MIN_POINTS points the two lanes go to _on_both, with the
-    same result bit for bit wherever the second one runs.
+    least THREADED_MIN_POINTS points the forward transforms of u and v, and
+    then the two lanes, go to _on_both, with the same result bit for bit
+    wherever the second of each pair runs.
     """
     if u.grid != v.grid:
         raise ValueError("u and v live on different grids")
@@ -231,26 +233,32 @@ def ch_nonlinear_term(u, v, dealias=True):
     grid = u.grid
     dim = grid.dim
     axes = tuple(range(1, dim + 1))
+    threaded = grid.points_per_axis ** dim >= THREADED_MIN_POINTS
     # The inverse reads only the modes 0 <= m <= N/2 of the last axis, so
     # the derivative spectra are formed there alone, all in the transform
-    # order of the half spectra.
-    uh = real_forward(u.data, axes, half=True)
-    vh = real_forward(v.data, axes, half=True)
+    # order of the half spectra.  Every buffer is allocated on this thread:
+    # allocated on the worker they came from its own malloc arena, 112.5 ->
+    # 114.3 MB peak RSS at 48^3.
+    uh, vh = half_buffer(u.data.shape, axes), half_buffer(v.data.shape, axes)
+    if threaded:
+        _on_both(partial(_forward_half, u.data, axes, uh),
+                 partial(_forward_half, v.data, axes, vh))
+    else:
+        _forward_half(u.data, axes, uh)
+        _forward_half(v.data, axes, vh)
     ik = half_derivative_multipliers(grid)
     out = np.zeros((dim,) + grid.shape)
     first, second = _lanes(dim)
     shared = [uh, vh, u.data, v.data, ik]
 
     def lane(terms):
-        # Every buffer is allocated on this thread: allocated on the worker
-        # they came from its own malloc arena, 112.5 -> 114.3 MB peak RSS
-        # at 48^3.  A lane writes only into its own components.
+        # A lane writes only into its own components.
         return partial(_add_terms, shared + [terms, out] + _lane_buffers(grid))
 
-    if grid.points_per_axis ** dim < THREADED_MIN_POINTS:
-        lane(first + second)()
-    else:
+    if threaded:
         _on_both(lane(first), lane(second))
+    else:
+        lane(first + second)()
     del uh, vh, ik, shared
     nh = VectorField(grid, real_forward(out, axes), SPECTRAL)
     return dealias_modes(nh) if dealias else nh

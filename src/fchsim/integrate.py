@@ -18,6 +18,7 @@ Initial-datum families:
 
 from __future__ import annotations
 
+import ctypes
 import time
 import warnings
 from dataclasses import dataclass
@@ -41,6 +42,41 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.reason = reason
         self.records = records or []
+
+
+# glibc's malloc sets its mmap threshold to the largest mmapped chunk freed
+# so far, unmaps every chunk above it when it is freed, and trims the heap
+# once its free top exceeds twice that threshold.  The heap swings by more
+# than that within one RK stage, so every stage handed its big arrays back
+# to the kernel and the next faulted them in again: 16.8-17.3k minor
+# faults and 53-65 ms of system time per 512^2 step (alpha = 0.1, a 420-490
+# ms step), 19-21k faults and 50-72 ms per 48^3 step (alpha = 0), 1.25k per
+# 128^2 step.  Fixed thresholds keep the freed memory in the process.  Both
+# are set: setting either one turns the dynamic thresholds off, and the trim
+# threshold alone leaves the mmap threshold at 128 KiB, which tripled the
+# faults (57-62k per 512^2 step, 99-101k per 48^3 step).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_ALLOCATOR_SETTING = ((_M_MMAP_THRESHOLD, 32 * 2 ** 20),
+                      (_M_TRIM_THRESHOLD, 256 * 2 ** 20))
+_freed_memory_held = None
+
+
+def hold_freed_memory():
+    """Keep freed heap memory in this process (glibc's mallopt); True when
+    both settings took effect.  Where mallopt is missing this does nothing
+    and returns False.  Only the first call acts."""
+    global _freed_memory_held
+    if _freed_memory_held is None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            accepted = [mallopt(*pair) for pair in _ALLOCATOR_SETTING]
+            _freed_memory_held = accepted == [1] * len(_ALLOCATOR_SETTING)
+        except (OSError, AttributeError, TypeError):
+            _freed_memory_held = False
+    return _freed_memory_held
 
 
 @dataclass(frozen=True)
@@ -188,9 +224,11 @@ def run(initial, params, observers=(), stride=1):
     After every step the ledger's E alone (diagnostics.filtered_energy) is
     the blow-up check: BlowUpError, carrying the records so far, unless
     E <= 10 E(0), which also fails for a NaN or infinite coefficient.
+    The process keeps its freed memory from here on (hold_freed_memory).
     """
     if stride < 1 or stride != int(stride):
         raise ValueError(f"stride must be a positive integer, got {stride}")
+    hold_freed_memory()
     state = prepare_initial_state(initial, params)
     grid = state.grid
     params.warn_if_beta_exotic(grid.dim)

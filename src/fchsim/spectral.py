@@ -81,9 +81,11 @@ class SpectralGrid(object):
         ksq = np.sum(self.derivative_wavenumbers ** 2, axis=0)
         ksq[ksq == 0] = 1.0
         self.inverse_k_squared = 1.0 / ksq
-        # |m| > N/3 on any axis is zeroed by the 2/3 rule
-        cutoff = n / 3.0
-        self.dealias_mask = np.all(np.abs(self.mode_numbers) <= cutoff, axis=0)
+        # the 2/3 rule keeps 3|m| < N on every axis (Orszag's condition):
+        # two kept modes then sum to |m| < 2N/3, which aliases onto |m| >
+        # N/3, never onto a kept mode.  Keeping |m| = N/3, when 3 divides N,
+        # would alias onto -N/3, a kept mode.
+        self.dealias_mask = np.all(3 * np.abs(self.mode_numbers) < n, axis=0)
         # quadrature weights: physical cell volume and spectral mode weight
         self.cell_volume = self.spacing ** dim
         self.mode_weight = self.box_length ** dim / float(n) ** (2 * dim)
@@ -233,6 +235,16 @@ def inverse_buffer(shape, axes, dtype=np.complex128):
     return zeros.transpose(np.argsort(order))
 
 
+def half_buffer(shape, axes):
+    """A zeroed complex buffer, in transform order, for the modes
+    0 <= m <= N/2 of the last of `axes` of a real array of `shape`: what
+    _forward_half fills."""
+    axes = tuple(axes)
+    shape = list(shape)
+    shape[axes[-1]] = shape[axes[-1]] // 2 + 1
+    return inverse_buffer(shape, axes)
+
+
 def _half_lines(grid, lattice):
     """The component i of a (dim, N, ..., N) lattice array that depends on
     axis i alone (a wavenumber), as a line along that axis, broadcastable
@@ -272,20 +284,16 @@ def _forward_half(data, axes, out):
     return out
 
 
-def real_forward(data, axes, half=False):
+def real_forward(data, axes):
     """Unnormalized DFT of real `data` over `axes`, full-size complex output.
 
     rfftn writes the modes 0 <= m <= N/2 of the last axis straight into the
     output; the rest is filled by Hermitian symmetry, so the result is
-    exactly Hermitian.  With `half`, only the modes 0 <= m <= N/2 are
-    returned, bit for bit those of the full output, for a spectrum that is
-    only ever read there; it is held in transform order.
+    exactly Hermitian.  A spectrum only ever read on the modes 0 <= m <= N/2
+    is formed there alone, bit for bit the same, by _forward_half into a
+    half_buffer.
     """
     axes = tuple(axes)
-    if half:
-        shape = list(data.shape)
-        shape[axes[-1]] = shape[axes[-1]] // 2 + 1
-        return _forward_half(data, axes, inverse_buffer(shape, axes))
     full = np.empty(data.shape, np.complex128)
     np.fft.rfftn(data, axes=axes, out=full[_half_index(data.shape, axes)])
     _mirror_half(full, axes)
@@ -452,7 +460,7 @@ def curl(field):
 
 
 def dealias(field):
-    """Zero every coefficient with |m| > N/3 on any axis (2/3 rule)."""
+    """Zero every coefficient with 3|m| >= N on any axis (2/3 rule)."""
     if not field.is_spectral:
         raise ValueError("dealias acts on spectral fields")
     return VectorField(field.grid, np.where(field.grid.dealias_mask,

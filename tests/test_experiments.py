@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from fchsim.experiments import (
     write_energy_csv,
     write_report,
 )
-from fchsim.integrate import BlowUpError, SolverParams
+from fchsim.integrate import BlowUpError, SolverParams, hold_freed_memory
 from fchsim.spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
@@ -152,6 +153,12 @@ class TestSimulate:
         assert on_disk["experiment"] == "simulate"
         assert on_disk["version"]
         assert on_disk["config"]["solver"]["nu"] == 0.05
+        # which environment produced the timings; held memory is applied by
+        # the run, and is False only where glibc's mallopt is missing
+        assert on_disk["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "cpu_affinity": fields._cpu_count(),
+            "holds_freed_memory": hold_freed_memory()}
 
     def test_blow_up_reported(self, tmp_path):
         config = config_for(
@@ -390,6 +397,7 @@ def _artifacts(out):
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     report = json.loads(files.pop("report.json"))
     report.pop("wall_time", None)
+    report.pop("environment")
     report["config"].pop("output_dir")
     return report, files
 

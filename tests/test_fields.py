@@ -20,7 +20,7 @@ from fchsim.fields import (
     symmetrized_identity_check, _jacobian_physical,
 )
 from fchsim.integrate import band_random
-from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq
+from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq, mode_power
 from conftest import random_field, random_divfree
 
 
@@ -113,23 +113,39 @@ def _product_pair(dim, n, alpha):
 
 @pytest.mark.parametrize("dim, n, alpha", [(2, 256, 0.1), (3, 48, 0.0)])
 def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
+    # the product's forward transforms and its lanes: one of each pair on
+    # the worker from THREADED_MIN_POINTS on, all inline below it or on
+    # one CPU, with the same bits
     u, v = _product_pair(dim, n, alpha)
-    on_main = []
-    add_terms = fields._add_terms
+    on_main = {"_forward_half": [], "_add_terms": []}
 
-    def spy(job):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        add_terms(job)
+    def spy(name):
+        original = getattr(fields, name)
 
-    monkeypatch.setattr(fields, "_add_terms", spy)
+        def spied(*args):
+            on_main[name].append(threading.current_thread() is threading.main_thread())
+            return original(*args)
+        return spied
+
+    def product():
+        for seen in on_main.values():
+            seen.clear()
+        return ch_nonlinear_term(u, v).data
+
+    for name in on_main:
+        monkeypatch.setattr(fields, name, spy(name))
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)  # even on one CPU
-    threaded = ch_nonlinear_term(u, v).data
-    assert sorted(on_main) == [False, True]     # one lane ran on the worker
+    threaded = product()
+    assert {name: sorted(seen) for name, seen in on_main.items()} == {
+        "_forward_half": [False, True], "_add_terms": [False, True]}
+    threshold = fields.THREADED_MIN_POINTS
     monkeypatch.setattr(fields, "THREADED_MIN_POINTS", n ** dim + 1)
-    on_main.clear()
-    serial = ch_nonlinear_term(u, v).data
-    assert on_main == [True]
-    assert np.array_equal(threaded, serial)
+    assert np.array_equal(threaded, product())
+    assert on_main == {"_forward_half": [True, True], "_add_terms": [True]}
+    monkeypatch.setattr(fields, "THREADED_MIN_POINTS", threshold)
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 1)
+    assert np.array_equal(threaded, product())
+    assert on_main == {"_forward_half": [True, True], "_add_terms": [True, True]}
 
 
 def _lane_workers():
@@ -371,6 +387,21 @@ def test_projected_nonlinearity_energy_neutral(grid64):
     ip = l2_inner(pn, to_spectral(u))
     scale = np.sqrt(l2_norm_sq(pn) * l2_norm_sq(u)) + 1e-300
     assert abs(ip) / scale <= 1e-10
+
+
+@pytest.mark.parametrize("dim, n", [(2, 48), (3, 24)])
+def test_pairing_is_alias_free_when_three_divides_n(dim, n):
+    # data filling every kept mode: the 2/3 rule must keep 3|m| < N, or two
+    # kept modes sum onto the kept mode -N/3 and <P N(u, v), u> != 0
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    v = band_random(grid, seed=41, band=(0.0, float(n)))
+    power = mode_power(to_spectral(v).data)
+    kept = grid.dealias_mask & (grid.k_squared > 0)
+    assert power[kept].min() > 1e-8 * power.max()
+    u = to_physical(apply_filter(v, 0.1))
+    pn = leray_project(ch_nonlinear_term(u, v)).field
+    ip = l2_inner(pn, to_spectral(u))
+    assert abs(ip) <= 1e-14 * np.sqrt(l2_norm_sq(u) * l2_norm_sq(pn))
 
 
 def test_vorticity_identity_3d():

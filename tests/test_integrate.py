@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -285,6 +287,67 @@ def test_bitwise_deterministic_on_two_lanes():
     assert a.steps == 3
     assert np.array_equal(a.state.v.field.data, b.state.v.field.data)
     assert a.records == b.records
+
+
+# Minor page faults of each step after the first, through run, in a fresh
+# process: with glibc's dynamic thresholds every RK stage handed its big
+# arrays back to the kernel, about 1.25k faults per 128^2 step.
+STEP_FAULTS = """
+import resource
+import numpy as np
+from fchsim.integrate import SolverParams, band_random, hold_freed_memory, run
+from fchsim.spectral import SpectralGrid
+faults = []
+def observe(state):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+grid = SpectralGrid(2, 128, 2 * np.pi)
+params = SolverParams(nu=0.02, beta=0.75, alpha=0.1, dt=0.005, t_end=0.03)
+run(band_random(grid, seed=1), params, observers=[observe])
+print(hold_freed_memory(), max(np.diff(faults)[1:]))
+"""
+
+
+def test_steps_fault_in_no_memory_after_a_warm_up_step():
+    proc = subprocess.run([sys.executable, "-c", STEP_FAULTS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    held, faults = proc.stdout.split()
+    if held != "True":
+        pytest.skip("the allocator has no glibc mallopt")
+    assert int(faults) < 100
+
+
+class _FakeLibc:
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return answer
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("answer, held", [(1, True), (0, False)])
+def test_hold_freed_memory_sets_both_thresholds_once(monkeypatch, answer, held):
+    libc = _FakeLibc(answer)
+    monkeypatch.setattr(integrate, "_freed_memory_held", None)
+    monkeypatch.setattr(integrate.ctypes, "CDLL", lambda name: libc)
+    assert integrate.hold_freed_memory() is held
+    assert integrate.hold_freed_memory() is held
+    # setting either one alone would turn off the dynamic thresholds and
+    # leave the other at its default
+    assert libc.calls == [(-3, 32 * 2 ** 20), (-1, 256 * 2 ** 20)]
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
+def test_hold_freed_memory_is_a_no_op_without_mallopt(monkeypatch, error):
+    def missing(name):
+        raise error("no mallopt")
+
+    monkeypatch.setattr(integrate, "_freed_memory_held", None)
+    monkeypatch.setattr(integrate.ctypes, "CDLL", missing)
+    assert integrate.hold_freed_memory() is False
 
 
 def _reference_ifrk4(vhat, h, phi, phi_half, rhs):

@@ -14,7 +14,8 @@ from fchsim.spectral import (
     fractional_laplacian, fractional_laplacian_symbol, helmholtz_symbol,
     gradient, divergence, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
-    half_derivative_multipliers, inverse_buffer, apply_multiplier,
+    half_buffer, half_derivative_multipliers, inverse_buffer, apply_multiplier,
+    _forward_half,
 )
 from conftest import random_field
 
@@ -311,7 +312,7 @@ def test_real_forward_half_is_the_full_outputs_half(dim, n, vector):
     # pairing inside the self-paired planes m = 0 and m = N/2
     shape, axes = _dft_layout(dim, n, vector)
     f = np.random.default_rng(5 * n + dim).standard_normal(shape)
-    got = real_forward(f, axes, half=True)
+    got = _forward_half(f, axes, half_buffer(shape, axes))
     assert got.shape == shape[:-1] + (n // 2 + 1,)
     assert got.strides[axes[0]] == got.itemsize     # held in transform order
     assert np.array_equal(got, real_forward(f, axes)[..., :n // 2 + 1])

@@ -6,6 +6,7 @@ width and time as little-endian f64, then the spectral coefficients of each
 velocity component in row-major order as interleaved (real, imag) f64 pairs.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -67,37 +68,40 @@ def load_checkpoint(path):
     or cross-check its SolverParams; coefficients are reproduced bitwise.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise CheckpointTruncationError(
-            f"file holds {len(blob)} bytes, shorter than the {_HEADER.size} "
-            f"byte header"
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CheckpointTruncationError(
+                f"file holds {len(header)} bytes, shorter than the {_HEADER.size} "
+                f"byte header"
+            )
+        magic, version, dim, points, box_length, nu, beta, alpha, t = _HEADER.unpack(
+            header
         )
-    magic, version, dim, points, box_length, nu, beta, alpha, t = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
-    if magic != MAGIC:
-        raise CheckpointMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise CheckpointVersionError(
-            f"unsupported version {version}, this build reads {VERSION}"
-        )
-    try:
-        validate_grid(dim, points, box_length)
-    except ValueError as exc:
-        raise CheckpointDimensionError(f"stored grid is invalid: {exc}") from exc
-    expected = dim * points**dim * 16
-    body = blob[_HEADER.size :]
-    if len(body) != expected:
-        raise CheckpointTruncationError(
-            f"coefficient block holds {len(body)} bytes, expected {expected}"
-        )
-    grid = SpectralGrid(dim, points, box_length)
-    data = (
-        np.frombuffer(body, dtype="<c16")
-        .reshape((dim,) + grid.shape)
-        .astype(np.complex128)
-    )
+        if magic != MAGIC:
+            raise CheckpointMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise CheckpointVersionError(
+                f"unsupported version {version}, this build reads {VERSION}"
+            )
+        try:
+            validate_grid(dim, points, box_length)
+        except ValueError as exc:
+            raise CheckpointDimensionError(f"stored grid is invalid: {exc}") from exc
+        expected = dim * points**dim * 16
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body != expected:
+            raise CheckpointTruncationError(
+                f"coefficient block holds {body} bytes, expected {expected}"
+            )
+        grid = SpectralGrid(dim, points, box_length)
+        # read straight into the coefficient array: no copy of the file
+        stored = np.empty((dim,) + grid.shape, dtype="<c16")
+        read = fh.readinto(memoryview(stored).cast("B"))
+        if read != expected:
+            raise CheckpointTruncationError(
+                f"coefficient block holds {read} bytes, expected {expected}"
+            )
+    data = stored.astype(np.complex128, copy=False)
     field = VectorField(grid, data, SPECTRAL)
     state = SimState(t, ProjectedField(field, divergence_free=True))
     return state, {"nu": nu, "beta": beta, "alpha": alpha}

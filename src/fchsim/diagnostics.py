@@ -75,6 +75,17 @@ def filtered_energy(amp2, grid, alpha):
     return float(np.sum(denominator) * grid.mode_weight)
 
 
+def half_filtered_energy(amp2, denominator, grid):
+    """filtered_energy from the per-mode power amp2 on the modes
+    0 <= m <= N/2 of the last axis alone, with `denominator` the filter's
+    symbol 1 + alpha^2 |k|^2 there (any layout, the same for both).  The
+    Parseval weights count the interior columns 1 <= m < N/2 twice, once
+    for their mirror images; amp2 is overwritten."""
+    quotient = np.divide(amp2, denominator, out=amp2)
+    interior = quotient[..., 1:grid.points_per_axis // 2]
+    return float((np.sum(quotient) + np.sum(interior)) * grid.mode_weight)
+
+
 def energy_ledger(amp2, symbol, grid, alpha, decay=None):
     """The one place a spectrum becomes E, D, |v|^2 and |grad v|^2.
 
@@ -96,12 +107,17 @@ def energy_ledger(amp2, symbol, grid, alpha, decay=None):
     }
 
 
-def record_energy(state, params):
-    """The energy ledger of a state, with its largest Fourier amplitude."""
+def record_energy(state, params, symbol=None):
+    """The energy ledger of a state, with its largest Fourier amplitude.
+
+    `symbol` is the dissipation symbol |k|^(2 params.beta) on the grid
+    (fractional_laplacian_symbol), formed here when not given.
+    """
     vh = state.v.field
     amp2 = mode_power(vh.data)
     fhat_max = float(np.max(np.sqrt(amp2)) * vh.grid.cell_volume)
-    symbol = fractional_laplacian_symbol(vh.grid.k_squared, params.beta)
+    if symbol is None:
+        symbol = fractional_laplacian_symbol(vh.grid.k_squared, params.beta)
     return EnergyRecord(float(state.t), fhat_max=fhat_max,
                         **energy_ledger(amp2, symbol, vh.grid, params.alpha))
 

@@ -19,9 +19,10 @@ from functools import partial
 import numpy as np
 
 from .spectral import (
-    SPECTRAL, VectorField, dealias as dealias_modes, half_buffer,
-    half_derivative_multipliers, inverse_buffer, real_forward, real_inverse,
-    to_spectral, _forward_half, _scalar_forward, _scalar_inverse,
+    SPECTRAL, VectorField, half_buffer,
+    half_derivative_multipliers, half_leray_lattice, inverse_buffer,
+    real_forward, real_inverse, to_spectral, _forward_half, _scalar_forward,
+    _scalar_inverse,
 )
 
 # ch_nonlinear_term hands its forward transform of v and its second lane to
@@ -64,19 +65,32 @@ def leray_project(v):
     """
     vh = to_spectral(v).data
     grid = v.grid
-    k = grid.derivative_wavenumbers
+    data = _project(vh, grid.derivative_wavenumbers, grid.inverse_k_squared)
+    return ProjectedField(VectorField(grid, data, SPECTRAL), divergence_free=True)
+
+
+def half_projector(grid):
+    """leray_project on the modes 0 <= m <= N/2 of the last axis: maps such
+    a half spectrum, in any layout, to a fresh array in its layout, bit for
+    bit the half of leray_project's output."""
+    k, inverse_k_squared = half_leray_lattice(grid)
+    return partial(_project, k=k, inverse_k_squared=inverse_k_squared)
+
+
+def _project(vh, k, inverse_k_squared):
+    """(I - k k^T/|k|^2) vh with the zero mode 0, into a new array laid out
+    as vh; k and inverse_k_squared broadcast against each component."""
     # one component at a time: no (dim, N^n) temporaries
     kdotv = k[0] * vh[0]
-    for i in range(1, grid.dim):
+    for i in range(1, len(vh)):
         kdotv += k[i] * vh[i]
-    kdotv *= grid.inverse_k_squared
+    kdotv *= inverse_k_squared
     data = np.empty_like(vh)
-    for i in range(grid.dim):
+    for i in range(len(vh)):
         np.multiply(k[i], kdotv, out=data[i])
         np.subtract(vh[i], data[i], out=data[i])
-    data[(slice(None),) + (0,) * grid.dim] = 0.0
-    out = VectorField(grid, data, SPECTRAL)
-    return ProjectedField(out, divergence_free=True)
+    data[(slice(None),) + (0,) * (vh.ndim - 1)] = 0.0
+    return data
 
 
 def _jacobian_physical(grid, fh_data):
@@ -217,7 +231,8 @@ def ch_nonlinear_term(u, v, dealias=True):
     """N(u, v) = u.grad(v) + v.grad(u)^T, un-projected, spectral output.
 
     Products are formed pointwise in physical space, derivatives taken
-    spectrally, and the result dealiased (2/3 rule) unless disabled.  The
+    spectrally, and the result dealiased (2/3 rule) unless disabled; the
+    spectrum is exactly Hermitian and held in transform order.  The
     Jacobians are streamed: each derivative d_b v_a and d_b u_a goes through
     a reused spectral and physical buffer and is folded into the product at
     once, as u_b d_b v_a into component a and v_a d_b u_a into component b.
@@ -260,8 +275,11 @@ def ch_nonlinear_term(u, v, dealias=True):
     else:
         lane(first + second)()
     del uh, vh, ik, shared
-    nh = VectorField(grid, real_forward(out, axes), SPECTRAL)
-    return dealias_modes(nh) if dealias else nh
+    # in the transform order the stepper reads its half in; the 2/3 rule
+    # acts on the half before the mirror fill
+    nh = real_forward(out, axes, out=inverse_buffer(out.shape, axes),
+                      dealias=dealias)
+    return VectorField(grid, nh, SPECTRAL)
 
 
 def advection_term(v, dealias=True):
@@ -276,8 +294,7 @@ def advection_term(v, dealias=True):
     for i in range(dim):
         for j in range(dim):
             out[i] += v.data[j] * dv[i, j]
-    nh = VectorField(grid, real_forward(out, axes), SPECTRAL)
-    return dealias_modes(nh) if dealias else nh
+    return VectorField(grid, real_forward(out, axes, dealias=dealias), SPECTRAL)
 
 
 def symmetrized_identity_check(u, v):

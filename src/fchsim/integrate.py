@@ -25,12 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import filtered_energy, mode_power, record_energy
-from .fields import ProjectedField, ch_nonlinear_term, leray_project
+from .diagnostics import half_filtered_energy, mode_power, record_energy
+from .fields import (
+    ProjectedField, ch_nonlinear_term, half_projector, leray_project)
 from .helmholtz import apply_filter
 from .spectral import (
     PHYSICAL, SPECTRAL, VectorField, dealias, fractional_laplacian_symbol,
-    real_forward, to_physical, to_spectral,
+    half_of, held_spectrum, helmholtz_symbol, hermitian_spectrum,
+    inverse_buffer, real_forward, to_physical, to_spectral, _half_k_squared,
+    _spatial_axes,
 )
 
 
@@ -143,27 +146,34 @@ class RunSummary:
 
 
 def _integrating_factors(grid, params, dt):
-    lam = params.nu * fractional_laplacian_symbol(grid.k_squared, params.beta)
+    """exp(-nu |k|^(2 beta) dt) and its half step, on the modes
+    0 <= m <= N/2 of the last axis, in the transform order of the state."""
+    lam = params.nu * fractional_laplacian_symbol(_half_k_squared(grid), params.beta)
     return np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
 
 
 def _rhs_filtered(grid, alpha, use_dealias):
-    def rhs(vhat):
-        v = to_physical(VectorField(grid, vhat, SPECTRAL))
+    """-P N(u, v) of a held state (spectral.held_spectrum), returned as a
+    fresh array of the modes 0 <= m <= N/2 of the last axis, in transform
+    order: only the product's half is projected."""
+    axes = _spatial_axes(grid)
+    project = half_projector(grid)
+
+    def rhs(held):
+        v = to_physical(VectorField(grid, held, SPECTRAL))
         u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
         nl = ch_nonlinear_term(u, v, dealias=use_dealias)
-        # leray_project returns a fresh array, so it can be negated in place
-        out = leray_project(nl).field.data
+        out = project(half_of(nl.data, axes))
         return np.negative(out, out=out)
 
     return rhs
 
 
-def _ifrk4(vhat, h, phi, phi_half, rhs):
-    """One integrating-factor RK4 step, in low storage.
+def _ifrk4(held, h, phi, phi_half, rhs):
+    """One integrating-factor RK4 step of a held state, in low storage.
 
-    Every coefficient goes through the same floating-point operations, with
-    the same operands in the same order, as
+    Every live coefficient goes through the same floating-point
+    operations, with the same operands in the same order, as
 
         n1 = rhs(v)
         n2 = rhs(P (v + h/2 n1))
@@ -171,38 +181,62 @@ def _ifrk4(vhat, h, phi, phi_half, rhs):
         n4 = rhs(phi v + h P n3)
         phi v + h/6 (phi n1 + 2 P (n2 + n3) + n4),    P = phi_half,
 
-    but the step works in place: besides `vhat` it holds the accumulator
-    phi n1 (+ ...), the stage argument and at most one stage result, so at
-    most four state-sized arrays are live while rhs runs.
+    on the modes 0 <= m <= N/2 of the last axis, the only ones rhs reads;
+    the stage argument and the new state are held buffers (inverse_buffer)
+    whose other modes stay 0.  Besides `held` the step holds the
+    accumulator phi n1 (+ ...), the stage argument and at most one stage
+    result while rhs runs, all but the stage argument half-sized.
     """
-    acc = rhs(vhat)
-    stage = np.multiply(0.5 * h, acc)
+    axes = tuple(range(1, held.ndim))
+    vhat = half_of(held, axes)
+    acc = rhs(held)
+    staged = inverse_buffer(held.shape, axes)
+    stage = half_of(staged, axes)
+    np.multiply(0.5 * h, acc, out=stage)
     np.add(vhat, stage, out=stage)
     np.multiply(phi_half, stage, out=stage)
     np.multiply(phi, acc, out=acc)                  # phi n1
-    n2 = rhs(stage)
+    n2 = rhs(staged)
     np.multiply(phi_half, vhat, out=stage)
     np.add(stage, np.multiply(0.5 * h, n2), out=stage)
-    n3 = rhs(stage)
+    n3 = rhs(staged)
     np.add(n2, n3, out=n2)                          # n2 + n3
     np.multiply(h * phi_half, n3, out=n3)
     np.multiply(phi, vhat, out=stage)
     np.add(stage, n3, out=stage)
     del n3
-    n4 = rhs(stage)
+    n4 = rhs(staged)
     np.multiply(2.0 * phi_half, n2, out=n2)
     np.add(acc, n2, out=acc)
     np.add(acc, n4, out=acc)
     np.multiply(h / 6.0, acc, out=acc)
     np.multiply(phi, vhat, out=stage)
-    return np.add(stage, acc, out=stage)
+    np.add(stage, acc, out=stage)
+    return staged
 
 
-def _advance(state, h, factors, rhs):
-    grid = state.grid
-    new = _ifrk4(state.v.field.data, h, *factors, rhs)
-    new[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SimState(state.t + h, ProjectedField(VectorField(grid, new, SPECTRAL)))
+def _advance(held, h, factors, rhs):
+    """The held state after one step of length h, its zero mode pinned."""
+    new = _ifrk4(held, h, *factors, rhs)
+    new[(slice(None),) + (0,) * (new.ndim - 1)] = 0.0
+    return new
+
+
+def _snapshot(t, held, grid):
+    """The C-ordered, Hermitian SimState of a held state at time t."""
+    axes = _spatial_axes(grid)
+    full = hermitian_spectrum(half_of(held, axes), axes)
+    return SimState(t, ProjectedField(VectorField(grid, full, SPECTRAL)))
+
+
+def _blow_up_energy(grid, alpha):
+    """E of a held state (diagnostics.filtered_energy) from its modes
+    0 <= m <= N/2 of the last axis alone, with the filter's symbol formed
+    there once."""
+    denominator = helmholtz_symbol(alpha, _half_k_squared(grid))
+    axes = _spatial_axes(grid)
+    return lambda held: half_filtered_energy(
+        mode_power(half_of(held, axes)), denominator, grid)
 
 
 def prepare_initial_state(initial, params):
@@ -219,12 +253,15 @@ def run(initial, params, observers=(), stride=1):
     """Integrate from a datum to t_end, sampling every `stride` steps.
 
     A sample, taken at t = 0, at every stride point and at the final time,
-    appends the state's energy record (diagnostics.record_energy) and calls
-    each observer with the state; observers' return values are ignored.
-    After every step the ledger's E alone (diagnostics.filtered_energy) is
-    the blow-up check: BlowUpError, carrying the records so far, unless
-    E <= 10 E(0), which also fails for a NaN or infinite coefficient.
-    The process keeps its freed memory from here on (hold_freed_memory).
+    appends the state's energy record (diagnostics.record_energy, with the
+    dissipation symbol formed once per run) and calls each observer with the
+    state; observers' return values are ignored.  Between samples the state
+    is stepped as a held half spectrum (_ifrk4) and no full spectrum is
+    kept; every state handed out is full, C-ordered and Hermitian.  After
+    every step the ledger's E alone is the blow-up check: BlowUpError,
+    carrying the records so far, unless E <= 10 E(0), which also fails for a
+    NaN or infinite coefficient.  The process keeps its freed memory from
+    here on (hold_freed_memory).
     """
     if stride < 1 or stride != int(stride):
         raise ValueError(f"stride must be a positive integer, got {stride}")
@@ -234,6 +271,8 @@ def run(initial, params, observers=(), stride=1):
     params.warn_if_beta_exotic(grid.dim)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
     factors = _integrating_factors(grid, params, params.dt)
+    symbol = fractional_laplacian_symbol(grid.k_squared, params.beta)
+    energy_of = _blow_up_energy(grid, params.alpha)
 
     n_full = int(np.floor(params.t_end / params.dt * (1 + 1e-12)))
     remainder = params.t_end - n_full * params.dt
@@ -244,23 +283,26 @@ def run(initial, params, observers=(), stride=1):
     records = []
 
     def sample(s):
-        records.append(record_energy(s, params))
+        records.append(record_energy(s, params, symbol))
         for observe in observers:
             observe(s)
 
     sample(state)
+    t, held = state.t, held_spectrum(state.v.field.data, _spatial_axes(grid))
     started = time.perf_counter()
     for j in range(1, n_total + 1):
+        state = None
         h = params.dt
         if remainder and j == n_total:
             h = remainder
             factors = _integrating_factors(grid, params, h)
-        state = _advance(state, h, factors, rhs)
-        energy = filtered_energy(mode_power(state.v.field.data), grid, params.alpha)
-        if not energy <= 10.0 * records[0].E:
-            raise BlowUpError(state.t, "quadratic energy not finite or above"
+        held = _advance(held, h, factors, rhs)
+        t = t + h
+        if not energy_of(held) <= 10.0 * records[0].E:
+            raise BlowUpError(t, "quadratic energy not finite or above"
                               " ten times its initial value", records)
         if j % stride == 0 or j == n_total:
+            state = _snapshot(t, held, grid)
             sample(state)
     elapsed = time.perf_counter() - started
 

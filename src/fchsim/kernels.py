@@ -440,6 +440,7 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
     solution at time t as a spectral VectorField.
     """
     from .integrate import _rhs_filtered, prepare_initial_state
+    from .spectral import held_spectrum, hermitian_spectrum
 
     t = float(t)
     if t <= 0.0:
@@ -448,7 +449,12 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
         raise ValueError(f"need at least 3 quadrature nodes, got {nodes}")
     state = prepare_initial_state(initial, params)
     grid = state.grid
-    rhs = _rhs_filtered(grid, params.alpha, params.dealias)
+    stepper_rhs = _rhs_filtered(grid, params.alpha, params.dealias)
+    axes = tuple(range(1, grid.dim + 1))
+
+    def rhs(vh):
+        # the stepper's right-hand side, on and back to full spectra
+        return hermitian_spectrum(stepper_rhs(held_spectrum(vh, axes)), axes)
 
     symbol = params.nu * grid.k_squared**params.beta
     times = np.linspace(0.0, t, nodes)

@@ -12,12 +12,20 @@ Conventions fixed here and relied on everywhere else:
     nonlinear term's derivative spectra, a multiplier's spectrum of a physical
     field) is held in transform order, its spatial axes reversed in memory,
     so that the leading complex passes of irfftn run along contiguous
-    memory; the state, every other spectrum and every physical array are
-    C-ordered.  The layout changes no transform call, no element count and
-    no result bit
+    memory.  So is the time stepper's state: a full-size, zeroed
+    transform-order buffer (held_spectrum) in which only the modes
+    0 <= m <= N/2 of the last axis are live, one contiguous block per
+    component, and on which the step acts through half_of; and so is the
+    nonlinear term's output, whose half the stepper reads.  Every state
+    handed out of the stepper (hermitian_spectrum), every other spectrum and
+    every physical array are C-ordered.  The layout changes no transform
+    call, no element count and no result bit
   - physical quadrature weight is (L/N)^n, so the Parseval pairing is
     sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n)
   - wavenumbers are k = (2*pi/L)*m with integer m in [-N/2, N/2)
+  - the 2/3 rule keeps 3|m| < N on every axis; dealias and
+    real_forward(..., dealias=True) zero the other modes as one slab per
+    axis (_drop_aliased)
 """
 
 import itertools
@@ -56,6 +64,23 @@ def validate_grid(dim, points_per_axis, box_length):
                          % (length, dim))
 
 
+def _first_aliased_mode(n):
+    """The least |m| the 2/3 rule drops on an axis of n points.
+
+    The rule keeps 3|m| < N on every axis (Orszag's condition): two kept
+    modes then sum to |m| < 2N/3, which aliases onto |m| > N/3, never onto
+    a kept mode.  Keeping |m| = N/3, when 3 divides N, would alias onto
+    -N/3, a kept mode.
+    """
+    return (n + 2) // 3
+
+
+def _leray_weight(ksq):
+    """1/|k|^2 of the Leray projector, in place, with 1 where |k| = 0."""
+    ksq[ksq == 0] = 1.0
+    return np.divide(1.0, ksq, out=ksq)
+
+
 class SpectralGrid(object):
     """Periodic box discretization with its wavenumber lattice."""
 
@@ -77,15 +102,13 @@ class SpectralGrid(object):
         # mode zeroed, else the result picks up a spurious imaginary part
         self.derivative_wavenumbers = np.where(
             np.abs(self.mode_numbers) == n // 2, 0.0, self.wavenumbers)
-        # 1/|k|^2 of the Leray projector, with 1 where |k| = 0
-        ksq = np.sum(self.derivative_wavenumbers ** 2, axis=0)
-        ksq[ksq == 0] = 1.0
-        self.inverse_k_squared = 1.0 / ksq
-        # the 2/3 rule keeps 3|m| < N on every axis (Orszag's condition):
-        # two kept modes then sum to |m| < 2N/3, which aliases onto |m| >
-        # N/3, never onto a kept mode.  Keeping |m| = N/3, when 3 divides N,
-        # would alias onto -N/3, a kept mode.
-        self.dealias_mask = np.all(3 * np.abs(self.mode_numbers) < n, axis=0)
+        self.inverse_k_squared = _leray_weight(
+            np.sum(self.derivative_wavenumbers ** 2, axis=0))
+        # the 2/3 rule, 3|m| < N on every axis, as a mask for the products
+        # that filter by it; dealias and real_forward zero the same modes
+        # through _drop_aliased
+        self.dealias_mask = np.all(
+            np.abs(self.mode_numbers) < _first_aliased_mode(n), axis=0)
         # quadrature weights: physical cell volume and spectral mode weight
         self.cell_volume = self.spacing ** dim
         self.mode_weight = self.box_length ** dim / float(n) ** (2 * dim)
@@ -179,12 +202,11 @@ def _spatial_axes(grid):
     return tuple(range(1, grid.dim + 1))
 
 
-def _mirror_half(full, axes):
+def _mirror_columns(full, axes):
     """Overwrite the modes past N/2 on the last of `axes` with conj F(-k).
 
     The source is the half 1 <= m < N/2 on that axis, read through reversed
-    slices (m -> N - m on every axis, index 0 being its own mirror).  The two
-    planes m = 0 and m = N/2 pair with themselves (_pair_planes).
+    slices (m -> N - m on every axis, index 0 being its own mirror).
     """
     *lead, last = axes
     half = full.shape[last] // 2
@@ -197,7 +219,6 @@ def _mirror_half(full, axes):
         dst[last] = slice(half + 1, None)
         src[last] = slice(half - 1, 0, -1)
         np.conjugate(full[tuple(src)], out=full[tuple(dst)])
-    _pair_planes(full, axes, half)
 
 
 def _pair_planes(spectrum, axes, half):
@@ -211,17 +232,55 @@ def _pair_planes(spectrum, axes, half):
         index[last] = slice(m, m + 1)
         plane = spectrum[tuple(index)]
         if lead:
-            _mirror_half(plane, lead)
+            _mirror_columns(plane, lead)
+            _pair_planes(plane, lead, plane.shape[lead[-1]] // 2)
         else:
             plane.imag = 0.0
 
 
-def _half_index(shape, axes):
-    """Index of the modes 0 <= m <= N/2 of the last of `axes`: the only
-    ones real_inverse reads."""
-    index = [slice(None)] * len(shape)
-    index[axes[-1]] = slice(0, shape[axes[-1]] // 2 + 1)
-    return tuple(index)
+def half_of(spectrum, axes):
+    """The modes 0 <= m <= N/2 of the last of `axes`, the only ones
+    real_inverse reads, as a view: in transform order, one contiguous block
+    per index of the other axes."""
+    index = [slice(None)] * spectrum.ndim
+    index[axes[-1]] = slice(0, spectrum.shape[axes[-1]] // 2 + 1)
+    return spectrum[tuple(index)]
+
+
+def held_spectrum(spectrum, axes):
+    """The modes 0 <= m <= N/2 of the last of `axes` of a full-size
+    spectrum, copied into an inverse_buffer whose other modes stay 0: what
+    the time stepper steps.  real_inverse of it is, bit for bit, real_inverse
+    of the spectrum."""
+    held = inverse_buffer(spectrum.shape, axes)
+    half_of(held, axes)[...] = half_of(spectrum, axes)
+    return held
+
+
+def hermitian_spectrum(half, axes):
+    """The C-ordered full-size spectrum whose modes 0 <= m <= N/2 of the
+    last of `axes` are `half`, bit for bit, and whose other modes are their
+    mirror images conj F(-k).  Both self-paired planes lie in the half and
+    are copied as they are."""
+    shape = list(half.shape)
+    shape[axes[-1]] = 2 * (shape[axes[-1]] - 1)
+    full = np.empty(shape, np.complex128)
+    half_of(full, axes)[...] = half
+    _mirror_columns(full, axes)
+    return full
+
+
+def _drop_aliased(spectrum, axes, n):
+    """Zero, in place, the modes 3|m| >= n of the 2/3 rule on `axes` of n
+    points: one slab per axis, m = first ... N - first in index order.  On a
+    full spectrum the slab covers both signs; on the modes 0 <= m <= N/2 of
+    the last axis it is cut off at N/2 there."""
+    first = _first_aliased_mode(n)
+    for axis in axes:
+        index = [slice(None)] * spectrum.ndim
+        index[axis] = slice(first, n - first + 1)
+        spectrum[tuple(index)] = 0.0
+    return spectrum
 
 
 def inverse_buffer(shape, axes, dtype=np.complex128):
@@ -277,6 +336,20 @@ def _half_k_squared(grid):
     return k_squared
 
 
+def half_leray_lattice(grid):
+    """The derivative wavenumbers, as one broadcastable line per axis, and
+    inverse_k_squared, dense, on the modes 0 <= m <= N/2 of the last axis,
+    in transform order: the half-spectrum operands of the Leray projector,
+    bit for bit the grid's (the same sum as _half_k_squared, over the
+    derivative wavenumbers)."""
+    k = list(_half_lines(grid, grid.derivative_wavenumbers))
+    shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    k_squared = inverse_buffer(shape, range(grid.dim), np.float64)
+    for line in k:
+        k_squared += line ** 2
+    return k, _leray_weight(k_squared)
+
+
 def _forward_half(data, axes, out):
     """The modes 0 <= m <= N/2 of the last axis of real_forward, into `out`."""
     np.fft.rfftn(data, axes=axes, out=out)
@@ -284,19 +357,24 @@ def _forward_half(data, axes, out):
     return out
 
 
-def real_forward(data, axes):
+def real_forward(data, axes, out=None, dealias=False):
     """Unnormalized DFT of real `data` over `axes`, full-size complex output.
 
     rfftn writes the modes 0 <= m <= N/2 of the last axis straight into the
-    output; the rest is filled by Hermitian symmetry, so the result is
-    exactly Hermitian.  A spectrum only ever read on the modes 0 <= m <= N/2
-    is formed there alone, bit for bit the same, by _forward_half into a
-    half_buffer.
+    output (`out` when given, in any layout, else a C-ordered array); the
+    rest is filled by Hermitian symmetry, so the result is exactly
+    Hermitian.  With `dealias` the 2/3 rule zeroes the half before it is
+    mirrored, which leaves the modes of dealias(real_forward(...)), bit for
+    bit up to the sign of a zero imaginary part past N/2.  A
+    spectrum only ever read on the modes 0 <= m <= N/2 is formed there
+    alone, bit for bit the same, by _forward_half into a half_buffer.
     """
     axes = tuple(axes)
-    full = np.empty(data.shape, np.complex128)
-    np.fft.rfftn(data, axes=axes, out=full[_half_index(data.shape, axes)])
-    _mirror_half(full, axes)
+    full = np.empty(data.shape, np.complex128) if out is None else out
+    half = _forward_half(data, axes, half_of(full, axes))
+    if dealias:
+        _drop_aliased(half, axes, data.shape[axes[0]])
+    _mirror_columns(full, axes)
     return full
 
 
@@ -328,8 +406,7 @@ def apply_multiplier(field, symbol):
         return VectorField(grid, field.data * symbol(grid.k_squared), SPECTRAL)
     axes = _spatial_axes(grid)
     full = inverse_buffer(field.data.shape, axes)
-    index = _half_index(full.shape, axes)
-    half = _forward_half(field.data, axes, full[index])
+    half = _forward_half(field.data, axes, half_of(full, axes))
     half *= symbol(_half_k_squared(grid))
     return VectorField(grid, real_inverse(full, axes), PHYSICAL)
 
@@ -463,5 +540,6 @@ def dealias(field):
     """Zero every coefficient with 3|m| >= N on any axis (2/3 rule)."""
     if not field.is_spectral:
         raise ValueError("dealias acts on spectral fields")
-    return VectorField(field.grid, np.where(field.grid.dealias_mask,
-                                            field.data, 0.0), SPECTRAL)
+    grid = field.grid
+    return VectorField(grid, _drop_aliased(field.data.copy(), _spatial_axes(grid),
+                                           grid.points_per_axis), SPECTRAL)

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ class TestRoundTrip:
         save_checkpoint(state, params, path)
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(loaded.v.field.data, state.v.field.data)
+
+    def test_coefficients_are_read_without_a_copy_of_the_file(self, tmp_path):
+        # the coefficients go straight from the file into the state's array,
+        # so loading holds one coefficient block at a time, never the file's
+        # bytes beside it
+        grid = SpectralGrid(3, 32, 2.0 * np.pi)
+        state, params = make_state(grid)
+        path = str(tmp_path / "state.chk")
+        save_checkpoint(state, params, path)
+        block = state.v.field.data.nbytes
+        tracemalloc.start()
+        try:
+            SpectralGrid(3, 32, 2.0 * np.pi)
+            lattice = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.v.field.data, state.v.field.data)
+        assert loaded.v.field.data.flags.writeable
+        assert peak < lattice + 1.5 * block
 
 
 class TestTypedErrors:

@@ -7,7 +7,7 @@ import pytest
 
 from fchsim import integrate
 from fchsim.diagnostics import (
-    gradient_norm_sq, l2_norm_sq, linear_decay_curve, mode_power,
+    filtered_energy, gradient_norm_sq, l2_norm_sq, linear_decay_curve, mode_power,
 )
 from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
 from fchsim.helmholtz import apply_filter
@@ -27,10 +27,11 @@ from fchsim.integrate import (
     stream_bump,
 )
 from fchsim.spectral import (
-    SPECTRAL, SpectralGrid, VectorField, hermitian_defect, to_physical, to_spectral,
+    SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol, half_of,
+    held_spectrum, hermitian_defect, inverse_buffer, to_physical, to_spectral,
 )
 
-from conftest import random_divfree
+from conftest import random_divfree, random_field
 
 
 def make_params(**kw):
@@ -40,30 +41,56 @@ def make_params(**kw):
 
 
 def stepper(grid, params):
-    """One step of length params.dt, as run takes it."""
+    """One step of length params.dt, as run takes it, from and to a full
+    C-ordered state."""
     factors = _integrating_factors(grid, params, params.dt)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
-    return lambda state: _advance(state, params.dt, factors, rhs)
+    axes = tuple(range(1, grid.dim + 1))
+    return lambda state: integrate._snapshot(
+        state.t + params.dt,
+        _advance(held_spectrum(state.v.field.data, axes), params.dt, factors, rhs),
+        grid)
+
+
+def _transform_ordered(array):
+    # the spatial axes reversed in memory, the first one contiguous
+    strides = array.strides[1:]
+    return strides[0] == array.itemsize and list(strides) == sorted(strides)
 
 
 def test_transform_order_stays_inside_the_fft_layer(monkeypatch):
-    # Spectra that are only inverted are held with their axes reversed in
-    # memory; every physical array the step multiplies, the filter's output
-    # and the state stay C-ordered (a reversed u or v slows the product).
+    # Spectra that are only inverted, the product's output and the state
+    # the stepper holds are held with their axes reversed in memory; every
+    # physical array the step multiplies, the filter's output and every
+    # state run hands out stay C-ordered (a reversed u or v slows the
+    # product).
     grid = SpectralGrid(2, 16, 2.0 * np.pi)
-    params = make_params(alpha=0.3)
-    seen = []
+    params = make_params(alpha=0.3, t_end=0.02)
+    seen, held, products = [], [], []
 
     def spy(u, v, dealias=True):
         seen.append((u.data.flags.c_contiguous, v.data.flags.c_contiguous))
-        return ch_nonlinear_term(u, v, dealias=dealias)
+        products.append(ch_nonlinear_term(u, v, dealias=dealias).data)
+        return VectorField(u.grid, products[-1], SPECTRAL)
+
+    def spied_rhs(*args):
+        rhs = _rhs_filtered(*args)
+
+        def traced(state):
+            held.append(state)
+            return rhs(state)
+        return traced
 
     monkeypatch.setattr(integrate, "ch_nonlinear_term", spy)
-    state = prepare_initial_state(random_divfree(grid, seed=8), params)
-    new = stepper(grid, params)(state)
-    assert seen == [(True, True)] * 4
-    assert new.v.field.data.flags.c_contiguous
-    assert apply_filter(to_physical(state.v.field), 0.3).data.flags.c_contiguous
+    monkeypatch.setattr(integrate, "_rhs_filtered", spied_rhs)
+    states = []
+    run(random_divfree(grid, seed=8), params, observers=[states.append])
+    assert seen == [(True, True)] * 8
+    assert len(held) == 8 and all(map(_transform_ordered, held))
+    assert all(map(_transform_ordered, products))
+    assert len(states) == 3
+    assert all(s.v.field.data.flags.c_contiguous for s in states)
+    assert apply_filter(to_physical(states[0].v.field), 0.3).data.flags.c_contiguous
 
 
 def test_params_validation():
@@ -363,16 +390,92 @@ def _reference_ifrk4(vhat, h, phi, phi_half, rhs):
     (2, 32, 0.5, 0.01), (3, 16, 0.0, 0.01), (2, 32, 0.5, 0.0037),
 ], ids=["2d-alpha", "3d-alpha0", "2d-closing-step"])
 def test_low_storage_step_matches_reference_bitwise(dim, n, alpha, h):
+    # on the held half spectrum, each stage argument handed to rhs through
+    # a fresh held buffer
     grid = SpectralGrid(dim, n, 2 * np.pi)
+    axes = tuple(range(1, dim + 1))
     params = make_params(alpha=alpha, dt=0.01)
-    vhat = prepare_initial_state(band_random(grid, seed=19, band=(1.0, 6.0)),
-                                 params).v.field.data
-    before = vhat.copy()
+    held = held_spectrum(prepare_initial_state(
+        band_random(grid, seed=19, band=(1.0, 6.0)), params).v.field.data, axes)
+    before = held.copy()
     factors = _integrating_factors(grid, params, h)
     rhs = _rhs_filtered(grid, alpha, True)
-    got = _ifrk4(vhat, h, *factors, rhs)
-    assert np.array_equal(got, _reference_ifrk4(vhat, h, *factors, rhs))
-    assert np.array_equal(vhat, before)     # the input state is not touched
+
+    def rhs_of_half(half):
+        buffer = inverse_buffer(held.shape, axes)
+        half_of(buffer, axes)[...] = half
+        return rhs(buffer)
+
+    got = _ifrk4(held, h, *factors, rhs)
+    expected = _reference_ifrk4(half_of(held, axes), h, *factors, rhs_of_half)
+    assert _transform_ordered(got) and got.shape == held.shape
+    assert np.array_equal(half_of(got, axes), expected)
+    assert not np.any(got[..., n // 2 + 1:])   # the rest of the buffer stays 0
+    assert np.array_equal(held, before)     # the input state is not touched
+
+
+def _full_spectrum_trajectory(v0, params, steps):
+    """The states of the full-spectrum IF-RK4 at each step: the right-hand
+    side -P N(u, v) of the whole product, on and back to full spectra."""
+    grid = v0.grid
+    alpha = params.alpha
+
+    def rhs(vhat):
+        v = to_physical(VectorField(grid, vhat, SPECTRAL))
+        u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
+        return -leray_project(ch_nonlinear_term(u, v)).field.data
+
+    lam = params.nu * fractional_laplacian_symbol(grid.k_squared, params.beta)
+    vhat = prepare_initial_state(v0, params).v.field.data
+    states = [vhat]
+    for h in steps:
+        vhat = _reference_ifrk4(vhat, h, np.exp(-lam * h), np.exp(-lam * (0.5 * h)), rhs)
+        vhat[(slice(None),) + (0,) * grid.dim] = 0.0
+        states.append(vhat)
+    return states
+
+
+@pytest.mark.parametrize("dim, n, alpha, t_end, stride", [
+    (2, 32, 0.5, 0.035, 2), (3, 16, 0.0, 0.03, 1), (2, 256, 0.1, 0.01, 1),
+], ids=["2d-alpha-closing-step", "3d-alpha0", "2d-256-two-lanes"])
+def test_run_matches_the_full_spectrum_stepper(dim, n, alpha, t_end, stride):
+    # the held half-spectrum state, sampled and at the end, equals the
+    # full-spectrum step at every mode (up to the sign of a zero)
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    params = make_params(nu=0.02, alpha=alpha, dt=0.01, t_end=t_end)
+    v0 = band_random(grid, seed=24, band=(1.0, 6.0))
+    sampled = []
+    summary = run(v0, params, observers=[sampled.append], stride=stride)
+    full_steps = int(np.floor(t_end / params.dt * (1 + 1e-12)))
+    steps = [params.dt] * full_steps
+    if t_end - full_steps * params.dt > 1e-9 * params.dt:
+        steps.append(t_end - full_steps * params.dt)
+    expected = _full_spectrum_trajectory(v0, params, steps)
+    assert summary.steps == len(steps)
+    picks = sorted(set(range(0, len(steps) + 1, stride)) | {len(steps)})
+    assert len(sampled) == len(picks)
+    for state, j in zip(sampled, picks):
+        assert np.array_equal(state.v.field.data, expected[j]), j
+    assert summary.state is sampled[-1]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("data", ["band-random", "every-mode"])
+def test_blow_up_energy_is_the_full_parseval_sum(dim, n, data):
+    # the half sum, interior columns counted twice, against the ledger's
+    # full sum; "every-mode" fills both self-paired planes too
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    axes = tuple(range(1, dim + 1))
+    if data == "band-random":
+        full = prepare_initial_state(band_random(grid, seed=25, band=(1.0, 6.0)),
+                                     make_params()).v.field.data
+    else:
+        full = to_spectral(random_field(grid, seed=26)).data
+    assert np.any(full[..., n // 2]) == (data == "every-mode")
+    for alpha in (0.0, 0.3):
+        expected = filtered_energy(mode_power(full), grid, alpha)
+        got = integrate._blow_up_energy(grid, alpha)(held_spectrum(full, axes))
+        assert abs(got - expected) <= 1e-14 * expected, alpha
 
 
 def test_cfl_helper(grid32):

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ from fchsim.spectral import (
     gradient, divergence, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
     half_buffer, half_derivative_multipliers, inverse_buffer, apply_multiplier,
+    half_leray_lattice, half_of, held_spectrum, hermitian_spectrum,
     _forward_half,
 )
 from conftest import random_field
@@ -350,6 +352,56 @@ def test_real_inverse_does_not_depend_on_the_layout(dim, n, vector):
     assert got.flags.c_contiguous and expected.flags.c_contiguous
 
 
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_held_spectrum_round_trips_bit_for_bit(dim, n, vector):
+    # the stepper's state: the half copied into a zeroed transform-order
+    # buffer, inverted as the full spectrum is, and mirrored back out
+    shape, axes = _dft_layout(dim, n, vector)
+    spectrum = real_forward(
+        np.random.default_rng(13 * n + dim).standard_normal(shape), axes)
+    held = held_spectrum(spectrum, axes)
+    assert held.shape == shape and held.strides[axes[0]] == held.itemsize
+    assert half_of(held, axes).shape == shape[:-1] + (n // 2 + 1,)
+    assert not np.any(held[..., n // 2 + 1:])
+    assert np.array_equal(real_inverse(held, axes), real_inverse(spectrum, axes))
+    back = hermitian_spectrum(half_of(held, axes), axes)
+    assert back.flags.c_contiguous
+    assert back.tobytes() == spectrum.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 48), (3, 8), (3, 12)])
+def test_dealiased_forward_is_dealias_of_the_forward(dim, n):
+    # dealias zeroes exactly the modes that dealias_mask drops, bit for bit;
+    # the same slabs on the half before the mirror fill, into a
+    # transform-order buffer, keep dealias's values, and only zeros past
+    # N/2 may carry the other sign
+    grid = SpectralGrid(dim, n, 2.0 * np.pi)
+    f = random_field(grid, seed=3 * n + dim)
+    axes = tuple(range(1, dim + 1))
+    full = to_spectral(f).data
+    expected = dealias(to_spectral(f)).data
+    assert expected.tobytes() == np.where(grid.dealias_mask, full, 0.0).tobytes()
+    got = real_forward(f.data, axes, out=inverse_buffer(f.data.shape, axes),
+                       dealias=True)
+    assert got.strides[1] == got.itemsize
+    assert np.array_equal(got, expected)
+    assert half_of(got, axes).tobytes() == half_of(expected, axes).tobytes()
+    assert np.array_equal(got, np.conj(_mirror(got, axes)))
+
+
+@pytest.mark.parametrize("dim, n", DFT_CASES)
+def test_half_leray_lattice_is_the_grids(dim, n):
+    grid = SpectralGrid(dim, n, 2.5)
+    k, inverse_k_squared = half_leray_lattice(grid)
+    shape = grid.shape[:-1] + (n // 2 + 1,)
+    assert inverse_k_squared.strides[0] == inverse_k_squared.itemsize
+    assert np.array_equal(inverse_k_squared, grid.inverse_k_squared[..., :n // 2 + 1])
+    for i, line in enumerate(k):
+        assert np.array_equal(np.broadcast_to(line, shape),
+                              grid.derivative_wavenumbers[i][..., :n // 2 + 1])
+
+
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_half_derivative_multipliers_are_the_grids(dim, n):
     grid = SpectralGrid(dim, n, 2.5)
@@ -404,28 +456,40 @@ def test_hermitian_defect_sees_what_the_real_inverse_drops(dim, n):
     assert hermitian_defect(broken) >= 0.5 / n ** dim
 
 
-_TRANSFORM_CALL = re.compile(
-    r"\bfft\.(?:fft|ifft|fft2|ifft2|fftn|ifftn|rfft|irfft|rfft2|irfft2|rfftn|"
-    r"irfftn|hfft|ihfft)\s*\(")
-_FFT_IMPORT = re.compile(r"^\s*(?:from|import)\s+(?:numpy|scipy)[\w.]*fft|"
-                         r"^\s*from\s+(?:numpy|scipy)\s+import\s+.*\bfft\b",
-                         re.MULTILINE)
+def _fft_references(source):
+    """Line numbers at which `source` reaches numpy.fft or scipy.fft: any
+    attribute named fft (np.fft, numpy.fft, scipy.fft), called or not, and
+    any import of either module or of a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                       else [alias.name for alias in node.names])
+            names = [alias.name for alias in node.names]
+            if any(m.split(".")[0] in ("numpy", "scipy")
+                   and ("fft" in m.split(".") or "fft" in names) for m in modules):
+                lines.append(node.lineno)
+    return lines
 
 
 def test_transforms_live_in_spectral_only():
-    # One FFT layer: solver modules transform through spectral.py; kernels.py
-    # keeps its own complex-to-complex calls as an independent oracle.
+    # One FFT layer: numpy.fft is named only in spectral.py and in the
+    # kernels.py oracle, which keeps its own complex-to-complex calls, so a
+    # transform-order forward (or a bare reference such as
+    # `forward = np.fft.rfftn`) cannot leak into fields or integrate.
+    for leak in ("forward = np.fft.rfftn", "getattr(numpy.fft, 'irfftn')(x)",
+                 "import numpy.fft as nf", "from numpy import fft",
+                 "from scipy.fft import rfftn", "import scipy.fft"):
+        assert _fft_references(leak), leak
+    assert _fft_references("from numpy import pi\nm = grid.fftfreq(8)") == []
     package = Path(fchsim.__file__).parent
-    allowed = {"spectral.py", "kernels.py"}
-    offenders = []
-    for path in sorted(package.glob("*.py")):
-        text = path.read_text()
-        hits = _TRANSFORM_CALL.findall(text) + _FFT_IMPORT.findall(text)
-        if path.name == "spectral.py":
-            assert len(_TRANSFORM_CALL.findall(text)) >= 2   # the scan sees calls
-        elif hits and path.name not in allowed:
-            offenders.append(path.name)
-    assert offenders == []
+    found = {path.name: _fft_references(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("spectral.py")               # the scan sees the layer
+    assert found.pop("kernels.py")                # and the oracle
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # k_squared (or a local name for it) raised to a dissipation exponent, as

@@ -483,7 +483,11 @@ def run_alpha_sweep(config, report):
         "In two dimensions the first-order filter correction to the "
         "projected momentum equation is a perfect gradient, so the "
         "pressure absorbs it and the measured order sits near 4 rather "
-        "than the generic 2.",
+        "than the generic 2." if grid.dim == 2 else
+        "In three dimensions the first-order filter correction to the "
+        "projected momentum equation is not a gradient, so the pressure "
+        "cannot absorb it and the measured order is expected near the "
+        "generic 2, not the 4 of two dimensions.",
     ]
 
     _write_csv(os.path.join(out, "distances.csv"), "alpha,max_distance,uniform_bound",

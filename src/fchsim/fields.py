@@ -19,10 +19,9 @@ from functools import partial
 import numpy as np
 
 from .spectral import (
-    SPECTRAL, VectorField, half_buffer,
-    half_derivative_multipliers, half_leray_lattice, inverse_buffer,
-    real_forward, real_inverse, to_spectral, _forward_half, _scalar_forward,
-    _scalar_inverse,
+    SPECTRAL, VectorField, divergence, half_buffer, half_of, inverse_buffer,
+    real_forward, real_inverse, to_spectral, _drop_aliased, _forward_half,
+    _scalar_forward, _scalar_inverse,
 )
 
 # ch_nonlinear_term hands its forward transform of v and its second lane to
@@ -51,9 +50,9 @@ class ProjectedField:
 def divergence_defect(field):
     """Normalized spectral divergence residual max|k.vhat| / max(|vhat||k|)."""
     fh = to_spectral(field)
-    k = field.grid.derivative_wavenumbers
-    num = np.max(np.abs(np.sum(1j * k * fh.data, axis=0)))
-    den = np.max(np.abs(fh.data) * np.sqrt(np.sum(k * k, axis=0)))
+    num = np.max(np.abs(divergence(fh)))
+    k_norm = np.sqrt(sum(k * k for k in field.grid.derivative_wavenumbers))
+    den = np.max(np.abs(fh.data) * k_norm)
     return float(num / den) if den > 0 else 0.0
 
 
@@ -69,12 +68,12 @@ def leray_project(v):
     return ProjectedField(VectorField(grid, data, SPECTRAL), divergence_free=True)
 
 
-def half_projector(grid):
+def leray_project_half(grid, half):
     """leray_project on the modes 0 <= m <= N/2 of the last axis: maps such
     a half spectrum, in any layout, to a fresh array in its layout, bit for
     bit the half of leray_project's output."""
-    k, inverse_k_squared = half_leray_lattice(grid)
-    return partial(_project, k=k, inverse_k_squared=inverse_k_squared)
+    return _project(half, grid.half_derivative_wavenumbers,
+                    grid.half_inverse_k_squared)
 
 
 def _project(vh, k, inverse_k_squared):
@@ -133,13 +132,14 @@ def _add_terms(job):
     """Add a lane's derivative terms into its components of `out`.
 
     `job` is [uh, vh, u, v, ik, terms, out, spectrum, derivative], with uh
-    and vh the half spectra of u and v, and it is emptied on entry: once
-    this returns, a worker thread running it holds none of the arrays.
+    and vh the half spectra of u and v and ik the derivative multipliers,
+    one broadcastable line per axis, and it is emptied on entry: once this
+    returns, a worker thread running it holds none of the arrays.
     """
     uh, vh, u, v, ik, terms, out, spectrum, derivative = job
     job.clear()
-    half = spectrum[..., :ik.shape[-1]]
     axes = range(out.ndim - 1)
+    half = half_of(spectrum, axes)
     for a, b, from_v in terms:
         fh, factor, target = (vh, u[b], a) if from_v else (uh, v[a], b)
         np.multiply(ik[b], fh[a], out=half)
@@ -261,7 +261,7 @@ def ch_nonlinear_term(u, v, dealias=True):
     else:
         _forward_half(u.data, axes, uh)
         _forward_half(v.data, axes, vh)
-    ik = half_derivative_multipliers(grid)
+    ik = [1j * k for k in grid.half_derivative_wavenumbers]
     out = np.zeros((dim,) + grid.shape)
     first, second = _lanes(dim)
     shared = [uh, vh, u.data, v.data, ik]
@@ -308,7 +308,7 @@ def symmetrized_identity_check(u, v):
         raise ValueError("physical representation expected")
     grid = u.grid
     dim = grid.dim
-    mask = grid.dealias_mask
+    axes, n = range(dim), grid.points_per_axis
     s = np.sum(u.data * v.data, axis=0)
     sh = _scalar_forward(grid, s)
     k = grid.derivative_wavenumbers
@@ -317,11 +317,12 @@ def symmetrized_identity_check(u, v):
     worst_num = 0.0
     worst_den = 0.0
     for i in range(dim):
-        lhs = _scalar_inverse(grid, 1j * k[i] * sh * mask)
+        lhs = _scalar_inverse(grid, _drop_aliased(1j * k[i] * sh, axes, n))
         rhs = np.zeros(grid.shape)
         for j in range(dim):
             rhs += u.data[j] * dv[j, i] + v.data[j] * du[j, i]
-        rhs = _scalar_inverse(grid, _scalar_forward(grid, rhs) * mask)
+        rhs = _scalar_inverse(
+            grid, _drop_aliased(_scalar_forward(grid, rhs), axes, n))
         worst_num = max(worst_num, float(np.max(np.abs(lhs - rhs))))
         worst_den = max(worst_den, float(np.max(np.abs(lhs))),
                         float(np.max(np.abs(rhs))))

@@ -27,12 +27,12 @@ import numpy as np
 
 from .diagnostics import half_filtered_energy, mode_power, record_energy
 from .fields import (
-    ProjectedField, ch_nonlinear_term, half_projector, leray_project)
+    ProjectedField, ch_nonlinear_term, leray_project, leray_project_half)
 from .helmholtz import apply_filter
 from .spectral import (
     PHYSICAL, SPECTRAL, VectorField, dealias, fractional_laplacian_symbol,
     half_of, held_spectrum, helmholtz_symbol, hermitian_spectrum,
-    inverse_buffer, real_forward, to_physical, to_spectral, _half_k_squared,
+    inverse_buffer, real_forward, to_physical, to_spectral, _drop_aliased,
     _spatial_axes,
 )
 
@@ -148,7 +148,7 @@ class RunSummary:
 def _integrating_factors(grid, params, dt):
     """exp(-nu |k|^(2 beta) dt) and its half step, on the modes
     0 <= m <= N/2 of the last axis, in the transform order of the state."""
-    lam = params.nu * fractional_laplacian_symbol(_half_k_squared(grid), params.beta)
+    lam = params.nu * fractional_laplacian_symbol(grid.half_k_squared, params.beta)
     return np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
 
 
@@ -157,13 +157,12 @@ def _rhs_filtered(grid, alpha, use_dealias):
     fresh array of the modes 0 <= m <= N/2 of the last axis, in transform
     order: only the product's half is projected."""
     axes = _spatial_axes(grid)
-    project = half_projector(grid)
 
     def rhs(held):
         v = to_physical(VectorField(grid, held, SPECTRAL))
         u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
         nl = ch_nonlinear_term(u, v, dealias=use_dealias)
-        out = project(half_of(nl.data, axes))
+        out = leray_project_half(grid, half_of(nl.data, axes))
         return np.negative(out, out=out)
 
     return rhs
@@ -233,7 +232,7 @@ def _blow_up_energy(grid, alpha):
     """E of a held state (diagnostics.filtered_energy) from its modes
     0 <= m <= N/2 of the last axis alone, with the filter's symbol formed
     there once."""
-    denominator = helmholtz_symbol(alpha, _half_k_squared(grid))
+    denominator = helmholtz_symbol(alpha, grid.half_k_squared)
     axes = _spatial_axes(grid)
     return lambda held: half_filtered_energy(
         mode_power(half_of(held, axes)), denominator, grid)
@@ -362,9 +361,11 @@ def band_random(grid, seed, band=(2.0, 4.0), amplitude=1.0):
         raise ValueError(f"need 0 <= lo <= hi in the band, got {band}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((grid.dim,) + grid.shape)
-    fh = real_forward(raw, range(1, grid.dim + 1))
-    mag = np.sqrt(np.sum(grid.mode_numbers**2, axis=0))
-    fh *= (mag >= lo) & (mag <= hi) & grid.dealias_mask
+    axes = _spatial_axes(grid)
+    fh = real_forward(raw, axes)
+    mag = np.sqrt(sum(m**2 for m in grid.mode_numbers))
+    fh *= (mag >= lo) & (mag <= hi)
+    _drop_aliased(fh, axes, grid.points_per_axis)
     field = VectorField(grid, fh, SPECTRAL)
     vp = to_physical(leray_project(field).field)
     peak = np.max(np.sqrt(np.sum(vp.data**2, axis=0)))

@@ -23,9 +23,16 @@ Conventions fixed here and relied on everywhere else:
   - physical quadrature weight is (L/N)^n, so the Parseval pairing is
     sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n)
   - wavenumbers are k = (2*pi/L)*m with integer m in [-N/2, N/2)
-  - the 2/3 rule keeps 3|m| < N on every axis; dealias and
-    real_forward(..., dealias=True) zero the other modes as one slab per
-    axis (_drop_aliased)
+  - the lattice has one owner and one format, SpectralGrid: one
+    broadcastable line per axis for the mode numbers and the derivative
+    wavenumbers (Nyquist zeroed), and, formed once per grid, the dense |k|^2
+    and Leray weight 1/|k|^2, C-ordered on the full spectrum and in
+    transform order on the modes 0 <= m <= N/2 of the last axis.  Every
+    derivative is a 1j * line broadcast, every multiplier reads one of the
+    dense arrays, and every sum over the axes runs in axis order
+  - the 2/3 rule keeps 3|m| < N on every axis; dealias,
+    real_forward(..., dealias=True) and every other user zero the other
+    modes as one slab per axis (_drop_aliased); no mask is kept
 """
 
 import itertools
@@ -81,8 +88,31 @@ def _leray_weight(ksq):
     return np.divide(1.0, ksq, out=ksq)
 
 
+def _lines(values, dim):
+    """`values` along each axis in turn: dim lines, line i of shape
+    (1, .., N, .., 1) with N on axis i, broadcastable over a spectrum."""
+    return tuple(values.reshape([-1 if a == i else 1 for a in range(dim)])
+                 for i in range(dim))
+
+
+def _full_and_half(lines, n):
+    """sum_i line_i^2, added to 0 in axis order as np.sum over a stack
+    adds: C-ordered on the full spectrum, and in transform order on the
+    modes 0 <= m <= N/2 of the last axis."""
+    dim, half = len(lines), n // 2 + 1
+    full = np.zeros((n,) * dim)
+    cut = inverse_buffer((n,) * (dim - 1) + (half,), range(dim), np.float64)
+    for line in lines:
+        full += line ** 2
+        cut += line[..., :half] ** 2
+    return full, cut
+
+
 class SpectralGrid(object):
-    """Periodic box discretization with its wavenumber lattice."""
+    """Periodic box discretization with its wavenumber lattice: lines per
+    axis, and the read-only |k|^2 and Leray weight 1/|k|^2 (over the
+    derivative wavenumbers, 1 at k = 0), formed once for the full and the
+    half spectrum (see the module docstring)."""
 
     def __init__(self, dim, points_per_axis, box_length):
         validate_grid(dim, points_per_axis, box_length)
@@ -94,21 +124,20 @@ class SpectralGrid(object):
         self.spacing = self.box_length / n
         # integer mode numbers m per axis, fft ordering 0,1,..,-N/2,..,-1
         m1d = np.fft.fftfreq(n, d=1.0 / n)
-        mesh = np.meshgrid(*([m1d] * dim), indexing="ij")
-        self.mode_numbers = np.stack(mesh)
-        self.wavenumbers = (2.0 * np.pi / self.box_length) * self.mode_numbers
-        self.k_squared = np.sum(self.wavenumbers ** 2, axis=0)
+        k1d = (2.0 * np.pi / self.box_length) * m1d
+        self.mode_numbers = _lines(m1d, dim)
         # odd-order derivatives of real fields need the unpaired Nyquist
         # mode zeroed, else the result picks up a spurious imaginary part
-        self.derivative_wavenumbers = np.where(
-            np.abs(self.mode_numbers) == n // 2, 0.0, self.wavenumbers)
-        self.inverse_k_squared = _leray_weight(
-            np.sum(self.derivative_wavenumbers ** 2, axis=0))
-        # the 2/3 rule, 3|m| < N on every axis, as a mask for the products
-        # that filter by it; dealias and real_forward zero the same modes
-        # through _drop_aliased
-        self.dealias_mask = np.all(
-            np.abs(self.mode_numbers) < _first_aliased_mode(n), axis=0)
+        self.derivative_wavenumbers = _lines(
+            np.where(np.abs(m1d) == n // 2, 0.0, k1d), dim)
+        self.half_derivative_wavenumbers = tuple(
+            k[..., :n // 2 + 1] for k in self.derivative_wavenumbers)
+        self.k_squared, self.half_k_squared = _full_and_half(_lines(k1d, dim), n)
+        self.inverse_k_squared, self.half_inverse_k_squared = map(
+            _leray_weight, _full_and_half(self.derivative_wavenumbers, n))
+        for shared in (self.k_squared, self.half_k_squared,
+                       self.inverse_k_squared, self.half_inverse_k_squared):
+            shared.flags.writeable = False
         # quadrature weights: physical cell volume and spectral mode weight
         self.cell_volume = self.spacing ** dim
         self.mode_weight = self.box_length ** dim / float(n) ** (2 * dim)
@@ -304,52 +333,6 @@ def half_buffer(shape, axes):
     return inverse_buffer(shape, axes)
 
 
-def _half_lines(grid, lattice):
-    """The component i of a (dim, N, ..., N) lattice array that depends on
-    axis i alone (a wavenumber), as a line along that axis, broadcastable
-    over the modes 0 <= m <= N/2 of the last axis."""
-    dim, half = grid.dim, grid.points_per_axis // 2 + 1
-    for i in range(dim):
-        index = [slice(0, 1)] * dim
-        index[i] = slice(0, half) if i == dim - 1 else slice(None)
-        yield lattice[i][tuple(index)]
-
-
-def half_derivative_multipliers(grid):
-    """1j * derivative_wavenumbers on the modes 0 <= m <= N/2 of the last
-    axis, bit for bit, in the transform order of the half spectra.  Each
-    component is broadcast from its line, so nothing is transposed."""
-    shape = (grid.dim,) + grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
-    ik = inverse_buffer(shape, range(1, grid.dim + 1))
-    for i, line in enumerate(_half_lines(grid, grid.derivative_wavenumbers)):
-        np.multiply(1j, line, out=ik[i])
-    return ik
-
-
-def _half_k_squared(grid):
-    """k_squared on the modes 0 <= m <= N/2 of the last axis, bit for bit
-    (the same sum, in the same order), in transform order."""
-    shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
-    k_squared = inverse_buffer(shape, range(grid.dim), np.float64)
-    for line in _half_lines(grid, grid.wavenumbers):
-        k_squared += line ** 2
-    return k_squared
-
-
-def half_leray_lattice(grid):
-    """The derivative wavenumbers, as one broadcastable line per axis, and
-    inverse_k_squared, dense, on the modes 0 <= m <= N/2 of the last axis,
-    in transform order: the half-spectrum operands of the Leray projector,
-    bit for bit the grid's (the same sum as _half_k_squared, over the
-    derivative wavenumbers)."""
-    k = list(_half_lines(grid, grid.derivative_wavenumbers))
-    shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
-    k_squared = inverse_buffer(shape, range(grid.dim), np.float64)
-    for line in k:
-        k_squared += line ** 2
-    return k, _leray_weight(k_squared)
-
-
 def _forward_half(data, axes, out):
     """The modes 0 <= m <= N/2 of the last axis of real_forward, into `out`."""
     np.fft.rfftn(data, axes=axes, out=out)
@@ -407,7 +390,7 @@ def apply_multiplier(field, symbol):
     axes = _spatial_axes(grid)
     full = inverse_buffer(field.data.shape, axes)
     half = _forward_half(field.data, axes, half_of(full, axes))
-    half *= symbol(_half_k_squared(grid))
+    half *= symbol(grid.half_k_squared)
     return VectorField(grid, real_inverse(full, axes), PHYSICAL)
 
 
@@ -484,6 +467,12 @@ def _scalar_inverse(grid, fh, out=None):
     return real_inverse(fh, range(grid.dim), out=out)
 
 
+def _partials(grid, fh):
+    """The spectra 1j k_j fh of the partial derivatives of one spectral
+    component fh, stacked over j."""
+    return np.stack([1j * k * fh for k in grid.derivative_wavenumbers])
+
+
 def gradient(field, grid=None):
     """Spectral gradient.
 
@@ -494,20 +483,20 @@ def gradient(field, grid=None):
     """
     if isinstance(field, VectorField):
         grid, fh = field.grid, to_spectral(field).data
-        k = grid.derivative_wavenumbers
-        out = [VectorField(grid, 1j * k * fh[i], SPECTRAL)
+        out = [VectorField(grid, _partials(grid, fh[i]), SPECTRAL)
                for i in range(grid.dim)]
         return out if field.is_spectral else [to_physical(g) for g in out]
     if grid is None:
         raise ValueError("scalar gradient needs the grid")
-    gh = 1j * grid.derivative_wavenumbers * _scalar_forward(grid, field)
+    gh = _partials(grid, _scalar_forward(grid, field))
     return to_physical(VectorField(grid, gh, SPECTRAL))
 
 
 def divergence(field):
-    """Spectral divergence of a VectorField, as a scalar array."""
+    """Spectral divergence of a VectorField, as a scalar array; the terms
+    1j k_i fh_i are added to 0 in component order, as np.sum adds them."""
     fh = to_spectral(field)
-    dh = np.sum(1j * field.grid.derivative_wavenumbers * fh.data, axis=0)
+    dh = sum(1j * k * f for k, f in zip(field.grid.derivative_wavenumbers, fh.data))
     return dh if field.is_spectral else _scalar_inverse(field.grid, dh)
 
 

@@ -11,7 +11,7 @@ def random_field(grid, seed, amplitude=1.0, band=None):
     f = VectorField(grid, data, "physical")
     if band is not None:
         fh = to_spectral(f)
-        mag = np.sqrt(np.sum(grid.mode_numbers ** 2, axis=0))
+        mag = np.sqrt(sum(m ** 2 for m in grid.mode_numbers))
         mask = (mag >= band[0]) & (mag <= band[1])
         f = VectorField(grid, fh.data * mask, "spectral")
         from fchsim.spectral import to_physical
@@ -20,6 +20,23 @@ def random_field(grid, seed, amplitude=1.0, band=None):
     if scale > 0:
         f = f * (amplitude / scale)
     return f
+
+
+def dense_lattice(grid):
+    """The (dim, N, ..., N) stacks of mode numbers, wavenumbers and
+    derivative wavenumbers (Nyquist zeroed), built here from np.fft.fftfreq:
+    an oracle independent of the grid's lines."""
+    n = grid.points_per_axis
+    m1d = np.fft.fftfreq(n, d=1.0 / n)
+    m = np.stack(np.meshgrid(*([m1d] * grid.dim), indexing="ij"))
+    k = (2.0 * np.pi / grid.box_length) * m
+    return m, k, np.where(np.abs(m) == n // 2, 0.0, k)
+
+
+def dealias_mask(grid):
+    """The modes the 2/3 rule keeps, 3|m| < N on every axis, as a dense
+    mask built from dense_lattice."""
+    return np.all(3 * np.abs(dense_lattice(grid)[0]) < grid.points_per_axis, axis=0)
 
 
 def random_divfree(grid, seed, amplitude=1.0, band=None, dealiased=True):

@@ -261,7 +261,10 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=300)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "report.json").exists()
+        notes = json.loads((tmp_path / "report.json").read_text())["notes"]
+        assert any("three dimensions" in note and "generic 2" in note
+                   for note in notes)
+        assert not any("sits near 4" in note for note in notes)
 
     def test_solver_import_leaves_scipy_oracles_unloaded(self):
         # nor the thread pool of the nonlinear product, which starts on the

@@ -21,7 +21,7 @@ from fchsim.fields import (
 )
 from fchsim.integrate import band_random
 from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq, mode_power
-from conftest import random_field, random_divfree
+from conftest import dealias_mask, random_field, random_divfree
 
 
 def test_leray_divfree_fixed_point(grid64):
@@ -44,7 +44,7 @@ def test_leray_output_divergence(grid32):
     from fchsim.spectral import divergence
     d = divergence(out.field)
     assert np.max(np.abs(d)) <= 1e-12 * np.max(np.abs(out.field.data)) \
-        * np.max(np.abs(grid32.wavenumbers))
+        * np.pi * grid32.points_per_axis / grid32.box_length
     assert divergence_defect(out.field) <= 1e-10
     assert out.divergence_free
 
@@ -77,7 +77,7 @@ def test_half_projector_is_leray_on_the_half(dim, n):
     for spectrum in (v.data, held):
         expected = leray_project(VectorField(grid, spectrum, "spectral")).field.data
         half = spectrum[..., :n // 2 + 1]
-        got = fields.half_projector(grid)(half)
+        got = fields.leray_project_half(grid, half)
         assert got.strides == np.empty_like(half).strides
         assert got.tobytes() == expected[..., :n // 2 + 1].tobytes()
 
@@ -412,7 +412,7 @@ def test_pairing_is_alias_free_when_three_divides_n(dim, n):
     grid = SpectralGrid(dim, n, 2 * np.pi)
     v = band_random(grid, seed=41, band=(0.0, float(n)))
     power = mode_power(to_spectral(v).data)
-    kept = grid.dealias_mask & (grid.k_squared > 0)
+    kept = dealias_mask(grid) & (grid.k_squared > 0)
     assert power[kept].min() > 1e-8 * power.max()
     u = to_physical(apply_filter(v, 0.1))
     pn = leray_project(ch_nonlinear_term(u, v)).field

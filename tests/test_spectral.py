@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fchsim
+from fchsim.fields import divergence_defect
 from fchsim.helmholtz import filter_identity_residual
 from fchsim.spectral import (
     SpectralGrid, VectorField,
     transform, to_spectral, to_physical, hermitian_defect,
     fractional_laplacian, fractional_laplacian_symbol, helmholtz_symbol,
-    gradient, divergence, laplacian, dealias,
+    gradient, divergence, curl, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
-    half_buffer, half_derivative_multipliers, inverse_buffer, apply_multiplier,
-    half_leray_lattice, half_of, held_spectrum, hermitian_spectrum,
+    half_buffer, inverse_buffer, apply_multiplier,
+    half_of, held_spectrum, hermitian_spectrum,
     _forward_half,
 )
-from conftest import random_field
+from conftest import dealias_mask, dense_lattice, random_field
 
 
 def l2sq_physical(grid, data):
@@ -217,7 +218,7 @@ def test_dealias_keeps_resolved_modes(grid32):
     rng = np.random.default_rng(17)
     raw = rng.standard_normal((2,) + grid32.shape) \
         + 1j * rng.standard_normal((2,) + grid32.shape)
-    f = VectorField(grid32, raw * grid32.dealias_mask, "spectral")
+    f = VectorField(grid32, raw * dealias_mask(grid32), "spectral")
     g = dealias(f)
     assert np.array_equal(g.data, f.data)
 
@@ -249,7 +250,7 @@ def test_dealiased_product_matches_convolution():
     f = np.fft.ifftn(fh).real
     h = np.fft.ifftn(gh).real
     prod_h = np.fft.fftn(f * h)
-    kept = prod_h * g.dealias_mask
+    kept = prod_h * dealias_mask(g)
     # direct convolution of the sparse spectra (DFT convention: 1/N^2)
     direct = np.zeros(g.shape, dtype=complex)
     for ma in [mf, (-mf[0], -mf[1])]:
@@ -257,7 +258,7 @@ def test_dealiased_product_matches_convolution():
             m = (ma[0] + mb[0], ma[1] + mb[1])
             direct[m[0] % 8, m[1] % 8] += (fh[ma[0] % 8, ma[1] % 8]
                                            * gh[mb[0] % 8, mb[1] % 8]) / 8 ** 2
-    direct *= g.dealias_mask
+    direct *= dealias_mask(g)
     assert np.max(np.abs(kept - direct)) < 1e-12
 
 
@@ -372,7 +373,8 @@ def test_held_spectrum_round_trips_bit_for_bit(dim, n, vector):
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 48), (3, 8), (3, 12)])
 def test_dealiased_forward_is_dealias_of_the_forward(dim, n):
-    # dealias zeroes exactly the modes that dealias_mask drops, bit for bit;
+    # dealias zeroes exactly the modes that a dense 2/3-rule mask, built
+    # from np.fft.fftfreq (conftest.dealias_mask), drops, bit for bit;
     # the same slabs on the half before the mirror fill, into a
     # transform-order buffer, keep dealias's values, and only zeros past
     # N/2 may carry the other sign
@@ -381,7 +383,7 @@ def test_dealiased_forward_is_dealias_of_the_forward(dim, n):
     axes = tuple(range(1, dim + 1))
     full = to_spectral(f).data
     expected = dealias(to_spectral(f)).data
-    assert expected.tobytes() == np.where(grid.dealias_mask, full, 0.0).tobytes()
+    assert expected.tobytes() == np.where(dealias_mask(grid), full, 0.0).tobytes()
     got = real_forward(f.data, axes, out=inverse_buffer(f.data.shape, axes),
                        dealias=True)
     assert got.strides[1] == got.itemsize
@@ -390,24 +392,96 @@ def test_dealiased_forward_is_dealias_of_the_forward(dim, n):
     assert np.array_equal(got, np.conj(_mirror(got, axes)))
 
 
+def _bytes(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+def test_grid_holds_lines_and_four_dense_arrays(dim, n):
+    # one line per axis, no (dim, N^n) stack: at most the full and half
+    # |k|^2 and 1/|k|^2, read-only, plus the lines
+    grid = SpectralGrid(dim, n, 2.5)
+    arrays = [a for value in vars(grid).values()
+              for a in (value if isinstance(value, tuple) else (value,))
+              if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) < dim * n ** dim
+    half = n ** (dim - 1) * (n // 2 + 1)
+    lines = 3 * dim * n
+    assert sum(a.nbytes for a in arrays) <= 8 * (2 * n ** dim + 2 * half + lines)
+    for dense in (grid.k_squared, grid.inverse_k_squared,
+                  grid.half_k_squared, grid.half_inverse_k_squared):
+        assert not dense.flags.writeable
+
+
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_half_leray_lattice_is_the_grids(dim, n):
+    # |k|^2 and the Leray weight, full (C order) and half (transform
+    # order), and the half derivative lines, bit for bit the dense oracle's
     grid = SpectralGrid(dim, n, 2.5)
-    k, inverse_k_squared = half_leray_lattice(grid)
-    shape = grid.shape[:-1] + (n // 2 + 1,)
-    assert inverse_k_squared.strides[0] == inverse_k_squared.itemsize
-    assert np.array_equal(inverse_k_squared, grid.inverse_k_squared[..., :n // 2 + 1])
-    for i, line in enumerate(k):
-        assert np.array_equal(np.broadcast_to(line, shape),
-                              grid.derivative_wavenumbers[i][..., :n // 2 + 1])
+    _, k, derivative = dense_lattice(grid)
+    half = n // 2 + 1
+    k_squared = np.sum(k ** 2, axis=0)
+    derivative_squared = np.sum(derivative ** 2, axis=0)
+    inverse_k_squared = 1.0 / np.where(derivative_squared == 0, 1.0, derivative_squared)
+    for full, half_grid, oracle in (
+            (grid.k_squared, grid.half_k_squared, k_squared),
+            (grid.inverse_k_squared, grid.half_inverse_k_squared, inverse_k_squared)):
+        assert full.flags.c_contiguous and _bytes(full) == _bytes(oracle)
+        assert half_grid.strides[0] == half_grid.itemsize
+        assert _bytes(half_grid) == _bytes(oracle[..., :half])
+    shape = grid.shape[:-1] + (half,)
+    for i, line in enumerate(grid.half_derivative_wavenumbers):
+        assert line.size == (half if i == dim - 1 else n)
+        assert _bytes(np.broadcast_to(line, shape)) == _bytes(derivative[i][..., :half])
 
 
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_half_derivative_multipliers_are_the_grids(dim, n):
+    # the product's 1j * line multipliers against the dense 1j * k stack,
+    # on a half spectrum held in transform order
     grid = SpectralGrid(dim, n, 2.5)
-    ik = half_derivative_multipliers(grid)
-    assert ik.strides[1] == ik.itemsize
-    assert np.array_equal(ik, 1j * grid.derivative_wavenumbers[..., :n // 2 + 1])
+    _, _, derivative = dense_lattice(grid)
+    axes = tuple(range(1, dim + 1))
+    fh = _forward_half(random_field(grid, seed=n + dim).data, axes,
+                       half_buffer((dim,) + grid.shape, axes))
+    dense = 1j * derivative[..., :n // 2 + 1]
+    for i, line in enumerate(grid.half_derivative_wavenumbers):
+        ik = 1j * line
+        assert ik.size == line.size
+        for a in range(dim):
+            assert _bytes(ik * fh[a]) == _bytes(dense[i] * fh[a])
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_differential_operators_match_the_dense_lattice(dim, n):
+    # gradient, divergence, curl and divergence_defect on the grid's lines,
+    # bit for bit the same formulas on the dense (dim, N^n) stack
+    grid = SpectralGrid(dim, n, 2.5)
+    k = dense_lattice(grid)[2]
+    f = random_field(grid, seed=3 * n + dim)
+    fh = to_spectral(f)
+    v = fh.data
+    assert [_bytes(g.data) for g in gradient(fh)] == \
+        [_bytes(1j * k * v[i]) for i in range(dim)]
+    assert [_bytes(g.data) for g in gradient(f)] == \
+        [_bytes(to_physical(VectorField(grid, 1j * k * v[i], "spectral")).data)
+         for i in range(dim)]
+    assert _bytes(gradient(f.data[0], grid).data) == _bytes(
+        to_physical(VectorField(grid, 1j * k * v[0], "spectral")).data)
+    dh = np.sum(1j * k * v, axis=0)
+    assert _bytes(divergence(fh)) == _bytes(dh)
+    assert _bytes(divergence(f)) == _bytes(real_inverse(dh, range(dim)))
+    if dim == 2:
+        ch = 1j * (k[0] * v[1] - k[1] * v[0])
+        assert _bytes(curl(fh)) == _bytes(ch)
+    else:
+        ch = np.stack([1j * (k[1] * v[2] - k[2] * v[1]),
+                       1j * (k[2] * v[0] - k[0] * v[2]),
+                       1j * (k[0] * v[1] - k[1] * v[0])])
+        assert _bytes(curl(fh).data) == _bytes(ch)
+    defect = (np.max(np.abs(dh))
+              / np.max(np.abs(v) * np.sqrt(np.sum(k * k, axis=0))))
+    assert divergence_defect(fh) == divergence_defect(f) == float(defect)
 
 
 @pytest.mark.parametrize("dim, n", DFT_CASES)
@@ -490,6 +564,25 @@ def test_transforms_live_in_spectral_only():
     assert found.pop("spectral.py")               # the scan sees the layer
     assert found.pop("kernels.py")                # and the oracle
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_LATTICE = re.compile(r"\br?fftfreq\b")
+
+
+def test_lattice_lives_in_spectral_only():
+    # One lattice: the mode numbers are formed once, by SpectralGrid, and
+    # the kernels.py oracle keeps its own, so no solver module can build a
+    # wavenumber lattice of its own again.
+    for leak in ("m = np.fft.fftfreq(n, d=1.0 / n)", "from numpy.fft import rfftfreq",
+                 "k = 2 * np.pi * numpy.fft.fftfreq(n, d=dx)"):
+        assert _LATTICE.search(leak), leak
+    package = Path(fchsim.__file__).parent
+    found = {path.name: _LATTICE.findall(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(_LATTICE.findall(inspect.getsource(SpectralGrid))) == 1
+    assert len(found.pop("spectral.py")) == 1     # that one use, and no other
+    assert found.pop("kernels.py")                # the scan sees the oracle's
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 # k_squared (or a local name for it) raised to a dissipation exponent, as

@@ -103,5 +103,5 @@ def load_checkpoint(path):
             )
     data = stored.astype(np.complex128, copy=False)
     field = VectorField(grid, data, SPECTRAL)
-    state = SimState(t, ProjectedField(field, divergence_free=True))
+    state = SimState(t, ProjectedField(field))
     return state, {"nu": nu, "beta": beta, "alpha": alpha}

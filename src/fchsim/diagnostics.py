@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    fractional_laplacian_symbol, helmholtz_symbol, to_physical, to_spectral)
+    fractional_laplacian_symbol, half_of, helmholtz_symbol, to_physical,
+    to_spectral, _spatial_axes)
 
 
 @dataclass
@@ -52,10 +53,14 @@ def l2_norm_sq(field):
 
 
 def gradient_norm_sq(field, order=1):
-    """Squared Sobolev seminorm |grad^m f|^2 = sum |k|^(2m) |fhat|^2."""
+    """Squared Sobolev seminorm |grad^m f|^2 = sum |k|^(2m) |fhat|^2 of a
+    real field, one Parseval sum over the half of its spectrum."""
     fh = to_spectral(field)
-    w = fh.grid.k_squared ** order if order else np.ones(fh.grid.shape)
-    return float(np.sum(w * mode_power(fh.data)) * fh.grid.mode_weight)
+    grid = fh.grid
+    power = _half_power(fh.data, grid)
+    if order:
+        power *= grid.half_k_squared ** order
+    return _parseval_sum(power, grid)
 
 
 def mode_power(vhat):
@@ -66,60 +71,68 @@ def mode_power(vhat):
     return sum(power[1:], power[0])
 
 
-def filtered_energy(amp2, grid, alpha):
+def _half_power(vhat, grid):
+    """mode_power of a spectrum on its modes 0 <= m <= N/2 of the last axis,
+    in the spectrum's own layout."""
+    return mode_power(half_of(vhat, _spatial_axes(grid)))
+
+
+def _parseval_sum(per_mode, grid):
+    """The one Parseval sum: sum_k w(k) times the mode weight, for a per-mode
+    quantity w of a Hermitian spectrum given on its modes 0 <= m <= N/2 of
+    the last axis, in any layout.  The interior columns 1 <= m < N/2 count
+    twice, once for their mirror images conj F(-k); the self-paired columns
+    m = 0 and m = N/2 count once."""
+    interior = per_mode[..., 1:grid.points_per_axis // 2]
+    return float((np.sum(per_mode) + np.sum(interior)) * grid.mode_weight)
+
+
+def filtered_energy(amp2, helmholtz, grid):
     """E = |u|^2 + alpha^2 |grad u|^2 of u = (1 - alpha^2 Laplace)^-1 v, from
-    the per-mode power amp2 of v: the filter acts per mode, so this is one
-    Parseval sum with the explicit mode weight."""
-    denominator = helmholtz_symbol(alpha, grid.k_squared)
-    np.divide(amp2, denominator, out=denominator)
-    return float(np.sum(denominator) * grid.mode_weight)
-
-
-def half_filtered_energy(amp2, denominator, grid):
-    """filtered_energy from the per-mode power amp2 on the modes
-    0 <= m <= N/2 of the last axis alone, with `denominator` the filter's
-    symbol 1 + alpha^2 |k|^2 there (any layout, the same for both).  The
-    Parseval weights count the interior columns 1 <= m < N/2 twice, once
-    for their mirror images; amp2 is overwritten."""
-    quotient = np.divide(amp2, denominator, out=amp2)
-    interior = quotient[..., 1:grid.points_per_axis // 2]
-    return float((np.sum(quotient) + np.sum(interior)) * grid.mode_weight)
+    the per-mode power amp2 of v on the modes 0 <= m <= N/2 of the last axis
+    and the filter's symbol there, helmholtz = 1 + alpha^2 |k|^2
+    (spectral.helmholtz_symbol of grid.half_k_squared): the filter acts per
+    mode, so E is one Parseval sum of amp2 / helmholtz."""
+    return _parseval_sum(amp2 / helmholtz, grid)
 
 
 def energy_ledger(amp2, symbol, grid, alpha, decay=None):
     """The one place a spectrum becomes E, D, |v|^2 and |grad v|^2.
 
-    amp2 is the per-mode power of v (mode_power), symbol the dissipation
-    symbol |k|^(2 beta) (spectral.fractional_laplacian_symbol) and `decay`
-    an optional per-mode factor on amp2, as the linear semigroup's
-    exp(-2 nu |k|^(2 beta) t).  D = |Lam^beta u|^2 + alpha^2 |grad Lam^beta
-    u|^2 is the filtered energy of Lam^beta v.
+    Every input lives on the modes 0 <= m <= N/2 of the last axis: amp2 is
+    the per-mode power of v (mode_power), symbol the dissipation symbol
+    |k|^(2 beta) (spectral.fractional_laplacian_symbol of
+    grid.half_k_squared) and `decay` an optional per-mode factor on amp2, as
+    the linear semigroup's exp(-2 nu |k|^(2 beta) t).  D = |Lam^beta u|^2 +
+    alpha^2 |grad Lam^beta u|^2 is the filtered energy of Lam^beta v.
     """
     def decayed(power):
         return power if decay is None else power * decay
 
-    power, w = decayed(amp2), grid.mode_weight
+    power = decayed(amp2)
+    helmholtz = helmholtz_symbol(alpha, grid.half_k_squared)
     return {
-        "E": filtered_energy(power, grid, alpha),
-        "D": filtered_energy(decayed(symbol * amp2), grid, alpha),
-        "v_l2": float(np.sum(power) * w),
-        "gradv_l2": float(np.sum(decayed(grid.k_squared * amp2)) * w),
+        "E": filtered_energy(power, helmholtz, grid),
+        "D": filtered_energy(decayed(symbol * amp2), helmholtz, grid),
+        "v_l2": _parseval_sum(power, grid),
+        "gradv_l2": _parseval_sum(decayed(grid.half_k_squared * amp2), grid),
     }
 
 
 def record_energy(state, params, symbol=None):
     """The energy ledger of a state, with its largest Fourier amplitude.
 
-    `symbol` is the dissipation symbol |k|^(2 params.beta) on the grid
-    (fractional_laplacian_symbol), formed here when not given.
+    `symbol` is the dissipation symbol |k|^(2 params.beta) on the modes
+    0 <= m <= N/2 of the last axis (fractional_laplacian_symbol of
+    grid.half_k_squared), formed here when not given.
     """
-    vh = state.v.field
-    amp2 = mode_power(vh.data)
-    fhat_max = float(np.max(np.sqrt(amp2)) * vh.grid.cell_volume)
+    grid = state.grid
+    amp2 = _half_power(state.v.field.data, grid)
+    fhat_max = float(np.max(np.sqrt(amp2)) * grid.cell_volume)
     if symbol is None:
-        symbol = fractional_laplacian_symbol(vh.grid.k_squared, params.beta)
+        symbol = fractional_laplacian_symbol(grid.half_k_squared, params.beta)
     return EnergyRecord(float(state.t), fhat_max=fhat_max,
-                        **energy_ledger(amp2, symbol, vh.grid, params.alpha))
+                        **energy_ledger(amp2, symbol, grid, params.alpha))
 
 
 def lp_norm(field, p):
@@ -141,6 +154,21 @@ def default_fit_window(t_end):
     return (5.0, 0.9 * t_end)
 
 
+def fit_line(x, y):
+    """Least-squares line y ~ slope x + intercept, as (slope, intercept).
+
+    Closed form over the centred samples, from numpy reductions alone, so the
+    result does not depend on how many threads a BLAS or LAPACK would use.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        raise ValueError("need two equally long 1-D series of at least 2 points")
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    slope = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    return float(slope), float(y_mean - slope * x_mean)
+
+
 def fit_decay(series, window):
     """Least-squares line on (log(1+t), log value) inside the window.
 
@@ -159,7 +187,7 @@ def fit_decay(series, window):
         raise ValueError("nonpositive values in fit window")
     x = np.log1p(t)
     y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = fit_line(x, y)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     ss_res = float(np.sum(resid ** 2))
@@ -237,11 +265,11 @@ def linear_decay_curve(v0, params, times):
     Useful as a sanity path and as the quasi-linear prediction that the
     decay reports quote next to the measured fits.
     """
-    vh = to_spectral(v0)
-    amp2 = mode_power(vh.data)
-    symbol = fractional_laplacian_symbol(vh.grid.k_squared, params.beta)
+    grid = v0.grid
+    amp2 = _half_power(to_spectral(v0).data, grid)
+    symbol = fractional_laplacian_symbol(grid.half_k_squared, params.beta)
     rate = -2.0 * params.nu * symbol
-    ledgers = [energy_ledger(amp2, symbol, vh.grid, params.alpha, np.exp(rate * t))
+    ledgers = [energy_ledger(amp2, symbol, grid, params.alpha, np.exp(rate * t))
                for t in np.asarray(times, dtype=float)]
     return {name: np.array([ledger[name] for ledger in ledgers], dtype=float)
             for name in ("E", "v_l2", "gradv_l2")}

@@ -25,6 +25,7 @@ from .diagnostics import (
     cumulative_trapezoid,
     default_fit_window,
     fit_decay,
+    fit_line,
     fourier_amplitude_bound_check,
     gradient_norm_sq,
     l2_inner,
@@ -215,9 +216,10 @@ def make_datum(config, grid, eps=None):
 def run_simulate(config, report):
     """Plain integration: energy CSV, final checkpoint, monotonicity check."""
     params = config.params
-    v0 = make_datum(config, SpectralGrid(*config.grid))
     out = config.output_dir
-    summary = run(v0, params, stride=config.sample_stride)
+    # handed straight to run, which drops it once the state is prepared
+    summary = run(make_datum(config, SpectralGrid(*config.grid)), params,
+                  stride=config.sample_stride)
     write_energy_csv(summary.records, os.path.join(out, "energy.csv"))
     save_checkpoint(summary.state, params, os.path.join(out, "final.chk"))
     report["artifacts"] = {"energy_csv": "energy.csv", "checkpoint": "final.chk"}
@@ -422,8 +424,8 @@ def run_scaled_family(config, report):
     if min(rates) > 0:
         eps_list = [m["eps"] for m in members]
         absolute = [m["deficit_rate"] * m["eps"] ** 2 for m in members]
-        report["deficit_rate_exponent"] = float(
-            np.polyfit(np.log(eps_list), np.log(absolute), 1)[0])
+        report["deficit_rate_exponent"] = fit_line(
+            np.log(eps_list), np.log(absolute))[0]
     for member in members:
         member.pop("records")
     report["members"] = members
@@ -505,8 +507,8 @@ def run_alpha_sweep(config, report):
     _check(report, "distance shrinks with the filter width", monotone,
            "max distances " + ", ".join("%.3e" % d for d in dists))
     if all(d > 0 for d in dists):
-        order = float(np.polyfit(np.log([e["alpha"] for e in positive]),
-                                 np.log(dists), 1)[0])
+        order = fit_line(np.log([e["alpha"] for e in positive]),
+                         np.log(dists))[0]
         report["fitted_order"] = order
         _check(report, "convergence order at least 1.5", order >= 1.5,
                f"fitted order {order:.3f}")

@@ -42,9 +42,8 @@ _BUSY = threading.Lock()
 
 @dataclass
 class ProjectedField:
-    """A spectral VectorField carrying a divergence-free certificate."""
+    """A spectral VectorField that leray_project made divergence-free."""
     field: VectorField
-    divergence_free: bool = True
 
 
 def divergence_defect(field):
@@ -65,7 +64,7 @@ def leray_project(v):
     vh = to_spectral(v).data
     grid = v.grid
     data = _project(vh, grid.derivative_wavenumbers, grid.inverse_k_squared)
-    return ProjectedField(VectorField(grid, data, SPECTRAL), divergence_free=True)
+    return ProjectedField(VectorField(grid, data, SPECTRAL))
 
 
 def leray_project_half(grid, half):

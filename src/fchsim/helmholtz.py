@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import lp_norm, mode_power
+from .diagnostics import fit_line, lp_norm, mode_power
 from .spectral import apply_multiplier, helmholtz_symbol, to_spectral
 
 
@@ -68,5 +68,5 @@ def filter_convergence_curve(v, alphas, q=2.0):
     dists = np.array([d for _, d in pairs])
     if np.any(dists <= 0):
         raise ValueError("convergence curve needs a field the filter actually moves")
-    slope = float(np.polyfit(np.log(alphas), np.log(dists), 1)[0]) if len(alphas) > 1 else float("nan")
+    slope = fit_line(np.log(alphas), np.log(dists))[0] if len(alphas) > 1 else float("nan")
     return pairs, slope

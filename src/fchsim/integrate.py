@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import half_filtered_energy, mode_power, record_energy
+from .diagnostics import filtered_energy, mode_power, record_energy
 from .fields import (
     ProjectedField, ch_nonlinear_term, leray_project, leray_project_half)
 from .helmholtz import apply_filter
@@ -230,12 +230,12 @@ def _snapshot(t, held, grid):
 
 def _blow_up_energy(grid, alpha):
     """E of a held state (diagnostics.filtered_energy) from its modes
-    0 <= m <= N/2 of the last axis alone, with the filter's symbol formed
-    there once."""
-    denominator = helmholtz_symbol(alpha, grid.half_k_squared)
+    0 <= m <= N/2 of the last axis, with the filter's symbol formed there
+    once."""
+    helmholtz = helmholtz_symbol(alpha, grid.half_k_squared)
     axes = _spatial_axes(grid)
-    return lambda held: half_filtered_energy(
-        mode_power(half_of(held, axes)), denominator, grid)
+    return lambda held: filtered_energy(
+        mode_power(half_of(held, axes)), helmholtz, grid)
 
 
 def prepare_initial_state(initial, params):
@@ -260,17 +260,20 @@ def run(initial, params, observers=(), stride=1):
     every step the ledger's E alone is the blow-up check: BlowUpError,
     carrying the records so far, unless E <= 10 E(0), which also fails for a
     NaN or infinite coefficient.  The process keeps its freed memory from
-    here on (hold_freed_memory).
+    here on (hold_freed_memory).  The datum itself is dropped once the
+    state is prepared, so a caller that hands it over does not keep it
+    through the steps.
     """
     if stride < 1 or stride != int(stride):
         raise ValueError(f"stride must be a positive integer, got {stride}")
     hold_freed_memory()
     state = prepare_initial_state(initial, params)
+    del initial
     grid = state.grid
     params.warn_if_beta_exotic(grid.dim)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
     factors = _integrating_factors(grid, params, params.dt)
-    symbol = fractional_laplacian_symbol(grid.k_squared, params.beta)
+    symbol = fractional_laplacian_symbol(grid.half_k_squared, params.beta)
     energy_of = _blow_up_energy(grid, params.alpha)
 
     n_full = int(np.floor(params.t_end / params.dt * (1 + 1e-12)))

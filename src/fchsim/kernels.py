@@ -16,6 +16,7 @@ from scipy import special
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
+from .diagnostics import fit_line
 from .fields import leray_project
 from .spectral import SPECTRAL, VectorField, to_spectral
 
@@ -101,7 +102,9 @@ def _profile(spec, t, radii, k=0, a=0.0, refine=1):
     flat_out = out.ravel()
     for start in range(0, flat_r.size, 256):
         block = flat_r[start : start + 256]
-        flat_out[start : start + 256] = oscillator(np.outer(np.abs(block), rho)) @ damp
+        terms = oscillator(np.outer(np.abs(block), rho))
+        terms *= damp
+        flat_out[start : start + 256] = np.sum(terms, axis=1)
     return sign * _ANGULAR[n] * out
 
 
@@ -186,7 +189,7 @@ def _power_tail(radii, values, p, n, reach):
     r, f = radii[start:], np.abs(values[start:])
     if np.any(f <= 0.0) or len(r) < 30:
         return None
-    slope, intercept = np.polyfit(np.log(r), np.log(f), 1)
+    slope, intercept = fit_line(np.log(r), np.log(f))
     residual = np.max(np.abs(np.log(f) - (intercept + slope * np.log(r))))
     s = -slope
     if residual > 0.02 or s * p <= n + 0.05:
@@ -211,8 +214,7 @@ def kernel_lp_norm_slope(spec, k, a, p, times):
     if times[-1] / times[0] < 10.0 * (1.0 - 1e-9):
         raise ValueError("slope fit times must span at least one decade")
     norms = [kernel_lp_norm(spec, t, p, k, a) for t in times]
-    slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
-    return float(slope)
+    return fit_line(np.log(times), np.log(norms))[0]
 
 
 def normalization_constant(n, beta):
@@ -261,9 +263,9 @@ def normalization_constant(n, beta):
 def _cos_tail(mu):
     # Integral of cos(r) r^-mu over (1, inf); two integrations by parts speed
     # the algebraic decay to r^-(mu+2) before the oscillatory quadrature.
-    inner = quad(lambda r: r ** (-mu - 2.0), 1.0, np.inf, weight="cos",
-                 wvar=1.0, epsabs=1e-13, limit=300)[0]
-    return -np.sin(1.0) + mu * np.cos(1.0) - mu * (mu + 1.0) * inner
+    rest = quad(lambda r: r ** (-mu - 2.0), 1.0, np.inf, weight="cos",
+                wvar=1.0, epsabs=1e-13, limit=300)[0]
+    return -np.sin(1.0) + mu * np.cos(1.0) - mu * (mu + 1.0) * rest
 
 
 def _sin_tail(mu):

@@ -1,13 +1,14 @@
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from fchsim import integrate
 from fchsim.diagnostics import (
-    filtered_energy, gradient_norm_sq, l2_norm_sq, linear_decay_curve, mode_power,
+    gradient_norm_sq, l2_norm_sq, linear_decay_curve, mode_power,
 )
 from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
 from fchsim.helmholtz import apply_filter
@@ -31,7 +32,7 @@ from fchsim.spectral import (
     held_spectrum, hermitian_defect, inverse_buffer, to_physical, to_spectral,
 )
 
-from conftest import random_divfree, random_field
+from conftest import dense_lattice, random_divfree, random_field
 
 
 def make_params(**kw):
@@ -459,11 +460,12 @@ def test_run_matches_the_full_spectrum_stepper(dim, n, alpha, t_end, stride):
     assert summary.state is sampled[-1]
 
 
-@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16), (2, 48), (3, 24)])
 @pytest.mark.parametrize("data", ["band-random", "every-mode"])
 def test_blow_up_energy_is_the_full_parseval_sum(dim, n, data):
-    # the half sum, interior columns counted twice, against the ledger's
-    # full sum; "every-mode" fills both self-paired planes too
+    # the per-step E, a half sum with the interior columns counted twice,
+    # against a dense sum over every mode built here; "band-random" is
+    # dealiased, "every-mode" fills both self-paired planes too
     grid = SpectralGrid(dim, n, 2 * np.pi)
     axes = tuple(range(1, dim + 1))
     if data == "band-random":
@@ -472,10 +474,28 @@ def test_blow_up_energy_is_the_full_parseval_sum(dim, n, data):
     else:
         full = to_spectral(random_field(grid, seed=26)).data
     assert np.any(full[..., n // 2]) == (data == "every-mode")
+    k_squared = np.sum(dense_lattice(grid)[1] ** 2, axis=0)
+    power = np.sum(np.abs(full) ** 2, axis=0)
     for alpha in (0.0, 0.3):
-        expected = filtered_energy(mode_power(full), grid, alpha)
+        expected = np.sum(power / (1.0 + alpha ** 2 * k_squared)) * grid.mode_weight
         got = integrate._blow_up_energy(grid, alpha)(held_spectrum(full, axes))
         assert abs(got - expected) <= 1e-14 * expected, alpha
+
+
+def test_run_releases_its_datum(grid32):
+    # a datum handed straight to run, as run_simulate hands it, is dropped
+    # once the state is prepared and is not kept through the steps
+    refs, alive = [], []
+
+    def datum():
+        v0 = band_random(grid32, seed=27, band=(1.0, 5.0))
+        refs.append(weakref.ref(v0))
+        return v0
+
+    run(datum(), make_params(dt=0.01, t_end=0.03),
+        observers=[lambda state: alive.append(refs[0]() is not None)])
+    assert len(alive) == 4
+    assert not any(alive[1:])
 
 
 def test_cfl_helper(grid32):

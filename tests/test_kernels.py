@@ -1,5 +1,11 @@
 """Oracle-module tests: kernels, constants, singular integrals, mild form."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -320,3 +326,22 @@ class TestMildSolutionPicard:
             mild_solution_picard(v0, params, -0.01)
         with pytest.raises(ValueError):
             mild_solution_picard(v0, params, 0.01, nodes=2)
+
+
+def test_kernel_check_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the kernel quadrature and every fitted slope use numpy reductions, not
+    # BLAS or LAPACK, whose summation order follows the thread count
+    root = Path(__file__).parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fchsim.cli", "kernel-check", "--config",
+             str(root / "configs" / "kernel_check.ini"), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        report.pop("environment")
+        reports.append(report)
+    assert reports[0] == reports[1]

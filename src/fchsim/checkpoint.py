@@ -58,7 +58,7 @@ def save_checkpoint(state, params, path):
     payload = np.ascontiguousarray(field.data).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload)       # through the buffer protocol: no copy
 
 
 def load_checkpoint(path):

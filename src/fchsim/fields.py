@@ -3,9 +3,9 @@
 Leray projection onto divergence-free fields, the filtered-advection
 nonlinear term u.grad(v) + v.grad(u)^T and the symmetrization identity
 behind pressure elimination.  The module also owns the process's one worker
-thread.  All three of its uses go through _on_both, which tries the worker
-and never waits for it: the nonlinear term's forward transform of v, its
-second lane, and the second item of each pair in map_on_worker.
+thread.  Its two users, the nonlinear term (for its forward pair and its
+lanes) and map_on_worker (for each pair of items), take it through _claim,
+which never waits: a caller that cannot claim it runs alone on its thread.
 
 Index convention used throughout: (v.grad(u)^T)_i = sum_j v_j d_i u_j,
 while (u.grad(v))_i = sum_j u_j d_j v_i.
@@ -13,6 +13,7 @@ while (u.grad(v))_i = sum_j u_j d_j v_i.
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,16 +25,15 @@ from .spectral import (
     _scalar_forward, _scalar_inverse,
 )
 
-# ch_nonlinear_term hands its forward transform of v and its second lane to
-# the worker thread only when a scalar transform has at least this many
-# points and the process may use two CPUs; map_on_worker's pairs use the
-# worker at every size.  For the lanes alone, one RHS on a 2-core host, one
-# thread -> two lanes, medians of interleaved calls (200 at 128^2, 60 at
-# 256^2, 40 above) in two runs: 128^2 8.4 -> 8.1 and 8.1 -> 7.9 ms, 256^2
-# 22.1 -> 22.1 and 29.4 -> 26.7 ms, 512^2 110 -> 97 and 132 -> 111 ms, 48^3
-# (alpha = 0) 125 -> 107 and 114 -> 95 ms.  Below 2^16 points the hand-off
-# saves under a millisecond per call, so small grids stay on one thread; the
-# 128^2 alpha sweep uses the second core through map_on_worker instead.
+# ch_nonlinear_term claims the worker for v's forward transform and its
+# second lane only when a scalar transform has at least this many points;
+# map_on_worker's pairs claim it at every size.  For the lanes alone, one RHS
+# on a 2-core host, one thread -> two lanes, medians of interleaved calls
+# (200 at 128^2, 60 at 256^2, 40 above) in two runs: 128^2 8.4 -> 8.1 and
+# 8.1 -> 7.9 ms, 256^2 22.1 -> 22.1 and 29.4 -> 26.7 ms, 512^2 110 -> 97 and
+# 132 -> 111 ms, 48^3 (alpha = 0) 125 -> 107 and 114 -> 95 ms.  Below 2^16
+# points the hand-off saves under a millisecond per call, so small grids stay
+# on one thread; the 128^2 alpha sweep uses map_on_worker's pairs instead.
 THREADED_MIN_POINTS = 2 ** 16
 # The one worker thread, and the lock its one user at a time holds.
 _POOL = None
@@ -102,38 +102,30 @@ def _jacobian_physical(grid, fh_data):
     return out
 
 
-def _lanes(dim):
-    """The derivative terms of N(u, v), split into two lanes by output component.
+def _lanes(dim, count):
+    """The derivative terms of N(u, v) in `count` lanes, split by output component.
 
     Term (a, b, from_v) adds u_b d_b v_a into component a when from_v, else
     v_a d_b u_a into component b.  Each component keeps the order of the
     double loop over (a, b), so its sum is the same floating-point sum
     whichever lane forms it: components {0} | {1} in 2D, {0, 2} | {1} in 3D.
     """
-    lanes = ([], [])
+    lanes = tuple([] for _ in range(count))
     for a in range(dim):
         for b in range(dim):
             for from_v, target in ((True, a), (False, b)):
-                lanes[target % 2].append((a, b, from_v))
+                lanes[target % count].append((a, b, from_v))
     return lanes
-
-
-def _lane_buffers(grid):
-    """One reused spectral and one reused physical buffer for a lane.
-
-    The spectrum, held in transform order, stays 0 past the modes the
-    inverse reads.
-    """
-    return [inverse_buffer(grid.shape, range(grid.dim)), np.empty(grid.shape)]
 
 
 def _add_terms(job):
     """Add a lane's derivative terms into its components of `out`.
 
     `job` is [uh, vh, u, v, ik, terms, out, spectrum, derivative], with uh
-    and vh the half spectra of u and v and ik the derivative multipliers,
-    one broadcastable line per axis, and it is emptied on entry: once this
-    returns, a worker thread running it holds none of the arrays.
+    and vh the half spectra of u and v, ik the derivative multipliers, one
+    broadcastable line per axis, and spectrum a transform-order buffer that
+    stays 0 past the modes the inverse reads.  It is emptied on entry: once
+    this returns, a worker thread running it holds none of the arrays.
     """
     uh, vh, u, v, ik, terms, out, spectrum, derivative = job
     job.clear()
@@ -161,8 +153,8 @@ def _forget_pool():
 
 def _start_worker():
     """The one-thread pool, started on first use; a forked child, which
-    inherits the pool but not its thread, starts its own.  Call it with
-    _BUSY held."""
+    inherits the pool but not its thread, starts its own.  Called by _claim
+    with _BUSY held."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -173,26 +165,34 @@ def _start_worker():
     return _POOL
 
 
-def _on_both(first, second):
-    """(first(), second()): second on the worker while first runs on this
-    thread, or both here, in order, on one CPU or when another caller holds
-    the worker.
-
-    The worker is tried, never waited for, so a task on the worker that
-    calls this runs both inline and cannot wait on itself.  An error of
-    first is raised once second has ended.
-    """
-    if _cpu_count() < 2 or not _BUSY.acquire(blocking=False):
-        return first(), second()
+@contextmanager
+def _claim(points=None):
+    """The worker, held until the block ends, or None below
+    THREADED_MIN_POINTS points (points=None: any size), on one CPU or while
+    another caller holds it.  It never waits, so a task on the worker that
+    claims it gets None and cannot wait on itself."""
+    if ((points is not None and points < THREADED_MIN_POINTS)
+            or _cpu_count() < 2 or not _BUSY.acquire(blocking=False)):
+        yield None
+        return
     try:
-        pending = _start_worker().submit(second)
-        try:
-            result = first()
-        finally:
-            pending.exception()         # waits for second, raises nothing
-        return result, pending.result()
+        yield _start_worker()
     finally:
         _BUSY.release()
+
+
+def _on_both(worker, first, second):
+    """(first(), second()): second on a claimed worker while first runs on
+    this thread, or both here, in order, when worker is None.  An error of
+    first is raised once second has ended."""
+    if worker is None:
+        return first(), second()
+    pending = worker.submit(second)
+    try:
+        result = first()
+    finally:
+        pending.exception()         # waits for second, raises nothing
+    return result, pending.result()
 
 
 def _outcome(fn, item):
@@ -206,18 +206,20 @@ def _outcome(fn, item):
 def map_on_worker(fn, items):
     """Yield fn(item) for every item, in item order.
 
-    The items run in pairs through _on_both, the second of a pair on the
-    worker when it is free, so each result is the one a plain loop gives,
-    bit for bit.  The first failure in item order is raised where its
-    result would be yielded, and no item starts after it.  An odd last item
-    runs alone on the calling thread, free to hand its own lanes to the
-    worker.  On one CPU this is a plain loop.
+    The items run in pairs, with one claim of the worker per pair: the
+    second of a pair runs on the worker when the claim gets it, so each
+    result is the one a plain loop gives, bit for bit.  The first failure in
+    item order is raised where its result would be yielded, and no item
+    starts after it.  An odd last item runs alone on the calling thread,
+    free to claim the worker for its own lanes.  On one CPU this is a plain
+    loop.
     """
     items = list(items)
     paired = len(items) - len(items) % 2 if _cpu_count() > 1 else 0
     for k in range(0, paired, 2):
-        result, (ok, second) = _on_both(partial(fn, items[k]),
-                                        partial(_outcome, fn, items[k + 1]))
+        with _claim() as worker:
+            result, (ok, second) = _on_both(
+                worker, partial(fn, items[k]), partial(_outcome, fn, items[k + 1]))
         yield result
         if not ok:
             raise second
@@ -235,10 +237,10 @@ def ch_nonlinear_term(u, v, dealias=True):
     Jacobians are streamed: each derivative d_b v_a and d_b u_a goes through
     a reused spectral and physical buffer and is folded into the product at
     once, as u_b d_b v_a into component a and v_a d_b u_a into component b.
-    The terms run in two lanes by output component (_lanes); on grids of at
-    least THREADED_MIN_POINTS points the forward transforms of u and v, and
-    then the two lanes, go to _on_both, with the same result bit for bit
-    wherever the second of each pair runs.
+    On grids of at least THREADED_MIN_POINTS points it claims the worker
+    once and, holding it, runs the forward transforms of u and v, then two
+    lanes of terms by output component (_lanes), on both threads; otherwise
+    every term runs as one lane on this thread.  The bits are the same.
     """
     if u.grid != v.grid:
         raise ValueError("u and v live on different grids")
@@ -247,33 +249,27 @@ def ch_nonlinear_term(u, v, dealias=True):
     grid = u.grid
     dim = grid.dim
     axes = tuple(range(1, dim + 1))
-    threaded = grid.points_per_axis ** dim >= THREADED_MIN_POINTS
     # The inverse reads only the modes 0 <= m <= N/2 of the last axis, so
     # the derivative spectra are formed there alone, all in the transform
     # order of the half spectra.  Every buffer is allocated on this thread:
     # allocated on the worker they came from its own malloc arena, 112.5 ->
     # 114.3 MB peak RSS at 48^3.
     uh, vh = half_buffer(u.data.shape, axes), half_buffer(v.data.shape, axes)
-    if threaded:
-        _on_both(partial(_forward_half, u.data, axes, uh),
+    with _claim(grid.points_per_axis ** dim) as worker:
+        _on_both(worker, partial(_forward_half, u.data, axes, uh),
                  partial(_forward_half, v.data, axes, vh))
-    else:
-        _forward_half(u.data, axes, uh)
-        _forward_half(v.data, axes, vh)
-    ik = [1j * k for k in grid.half_derivative_wavenumbers]
-    out = np.zeros((dim,) + grid.shape)
-    first, second = _lanes(dim)
-    shared = [uh, vh, u.data, v.data, ik]
-
-    def lane(terms):
-        # A lane writes only into its own components.
-        return partial(_add_terms, shared + [terms, out] + _lane_buffers(grid))
-
-    if threaded:
-        _on_both(lane(first), lane(second))
-    else:
-        lane(first + second)()
-    del uh, vh, ik, shared
+        ik = [1j * k for k in grid.half_derivative_wavenumbers]
+        out = np.zeros((dim,) + grid.shape)
+        # a lane writes only its own components, through its own buffers
+        lanes = [partial(_add_terms, [
+            uh, vh, u.data, v.data, ik, terms, out,
+            inverse_buffer(grid.shape, range(dim)), np.empty(grid.shape)])
+            for terms in _lanes(dim, 1 if worker is None else 2)]
+        del uh, vh, ik
+        if worker is None:
+            lanes[0]()
+        else:
+            _on_both(worker, *lanes)
     # in the transform order the stepper reads its half in; the 2/3 rule
     # acts on the half before the mirror fill
     nh = real_forward(out, axes, out=inverse_buffer(out.shape, axes),

@@ -289,6 +289,26 @@ def _bessel_tail(beta):
     return 0.5 * (partial + previous)
 
 
+def _fractional_order(beta):
+    """beta as a float, which must lie in (0, 1)."""
+    beta = float(beta)
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"fractional order must lie in (0, 1), got {beta}")
+    return beta
+
+
+def _uniform_samples(xs, ys):
+    """Matching 1D float samples, 65 or more, on an increasing uniform mesh."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 65:
+        raise ValueError("need matching 1D sample arrays with at least 65 points")
+    steps = np.diff(xs)
+    if np.any(steps <= 0.0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise ValueError("samples must sit on an increasing uniform mesh")
+    return xs, ys
+
+
 def integral_fractional_laplacian(xs, ys, beta, point, rtol=1e-3):
     """Singular-integral fractional Laplacian of 1D samples at one point.
 
@@ -297,16 +317,8 @@ def integral_fractional_laplacian(xs, ys, beta, point, rtol=1e-3):
     the middle and an analytic far tail that assumes f has decayed.  The same
     computation on every second sample yields a self-estimate of the error.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 65:
-        raise ValueError("need matching 1D sample arrays with at least 65 points")
-    steps = np.diff(xs)
-    if np.any(steps <= 0.0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise ValueError("samples must sit on an increasing uniform mesh")
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {beta}")
+    xs, ys = _uniform_samples(xs, ys)
+    beta = _fractional_order(beta)
     point = float(point)
     span = xs[-1] - xs[0]
     if not xs[0] + 0.2 * span <= point <= xs[-1] - 0.2 * span:
@@ -367,9 +379,7 @@ def gagliardo_seminorm_fourier(field, beta, box_length=None):
     Accepts a VectorField on a SpectralGrid, or a raw periodic scalar array
     together with its box length.  Components of a vector field are summed.
     """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {beta}")
+    beta = _fractional_order(beta)
     if isinstance(field, VectorField):
         grid = field.grid
         spectral = to_spectral(field)
@@ -403,18 +413,10 @@ def gagliardo_seminorm_direct(xs, ys, beta):
     continuity below one mesh step, trapezoid sum across the sampled range,
     and the constant 2||f||^2 asymptote beyond it.  Oracle-grade, 1D only.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 65:
-        raise ValueError("need matching 1D sample arrays with at least 65 points")
-    steps = np.diff(xs)
-    if np.any(steps <= 0.0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise ValueError("samples must sit on an increasing uniform mesh")
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {beta}")
+    xs, ys = _uniform_samples(xs, ys)
+    beta = _fractional_order(beta)
 
-    dx = float(steps[0])
+    dx = float(xs[1] - xs[0])
     norm_sq = float(np.sum(ys**2)) * dx
     grad_sq = float(np.sum(np.diff(ys) ** 2)) / dx
     # Beyond half the span the truncated overlap no longer sees both copies

@@ -88,6 +88,31 @@ class TestRoundTrip:
         assert loaded.v.field.data.flags.writeable
         assert peak < lattice + 1.5 * block
 
+    def test_coefficients_are_written_without_a_copy_of_the_block(self, tmp_path):
+        # a C-ordered state's coefficients go from its array to the file
+        # through the buffer protocol, with no block-sized bytes copy
+        grid = SpectralGrid(3, 32, 2.0 * np.pi)
+        state, params = make_state(grid)
+        path = str(tmp_path / "state.chk")
+        block = state.v.field.data.nbytes
+        tracemalloc.start()
+        try:
+            save_checkpoint(state, params, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * block
+
+    def test_file_is_the_header_and_the_little_endian_block(self, tmp_path):
+        state, params = make_state()
+        path = tmp_path / "state.chk"
+        save_checkpoint(state, params, str(path))
+        grid, data = state.v.field.grid, state.v.field.data
+        header = struct.pack(
+            "<4sBII5d", MAGIC, VERSION, grid.dim, grid.points_per_axis,
+            grid.box_length, params.nu, params.beta, params.alpha, state.t)
+        assert path.read_bytes() == header + data.astype("<c16").tobytes()
+
 
 class TestTypedErrors:
     def corrupt(self, tmp_path, mutate):

@@ -1,9 +1,11 @@
+import ast
 import os
 import re
 import signal
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +131,8 @@ def _product_pair(dim, n, alpha):
 @pytest.mark.parametrize("dim, n, alpha", [(2, 256, 0.1), (3, 48, 0.0)])
 def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
     # the product's forward transforms and its lanes: one of each pair on
-    # the worker from THREADED_MIN_POINTS on, all inline below it or on
-    # one CPU, with the same bits
+    # the worker from THREADED_MIN_POINTS on, all inline and every term in
+    # one lane below it or on one CPU, with the same bits
     u, v = _product_pair(dim, n, alpha)
     on_main = {"_forward_half": [], "_add_terms": []}
 
@@ -160,7 +162,7 @@ def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
     monkeypatch.setattr(fields, "THREADED_MIN_POINTS", threshold)
     monkeypatch.setattr(fields, "_cpu_count", lambda: 1)
     assert np.array_equal(threaded, product())
-    assert on_main == {"_forward_half": [True, True], "_add_terms": [True, True]}
+    assert on_main == {"_forward_half": [True, True], "_add_terms": [True]}
 
 
 def _lane_workers():
@@ -302,8 +304,8 @@ def test_lanes_and_nested_maps_run_inline_during_a_map(monkeypatch):
         assert nested == [on_worker] * 3       # a plain loop on this thread
         ran_on.append(on_worker)
     assert ran_on == [False, True]
-    # each item ran both 4-term lanes of its product on its own thread
-    assert sorted(lanes) == [(False, 4)] * 2 + [(True, 4)] * 2
+    # each item ran its product as one 8-term lane on its own thread
+    assert sorted(lanes) == [(False, 8), (True, 8)]
     assert not fields._BUSY.locked()
     lanes.clear()
     ch_nonlinear_term(u, v)
@@ -320,21 +322,55 @@ def test_odd_last_item_of_a_map_runs_its_lanes_on_both_threads(monkeypatch):
         return _on_worker()
 
     assert list(map_on_worker(item, range(3))) == [False, True, False]
-    assert sorted(lanes[:4]) == [(False, 4)] * 2 + [(True, 4)] * 2
+    assert sorted(lanes[:2]) == [(False, 8), (True, 8)]
     # the last item starts once the pair has ended
-    assert sorted(lanes[4:]) == [(False, 4), (True, 4)]
+    assert sorted(lanes[2:]) == [(False, 4), (True, 4)]
+
+
+def _claim_spy(monkeypatch):
+    """Record the points of every claim of the worker."""
+    claims = []
+    claim = fields._claim
+
+    def spy(points=None):
+        claims.append(points)
+        return claim(points)
+
+    monkeypatch.setattr(fields, "_claim", spy)
+    return claims
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "map-pair"])
+def test_inline_product_runs_one_lane_of_all_terms(monkeypatch, cpus):
+    # a product that does not get the worker, on one CPU or as an item of a
+    # map pair, claims it once and runs its 8 terms as one lane on its own
+    # thread, with the bits of the two-lane product
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    u, v = _product_pair(2, 256, 0.1)
+    expected = ch_nonlinear_term(u, v).data
+    monkeypatch.setattr(fields, "_cpu_count", lambda: cpus)
+    lanes, claims = _lane_spy(monkeypatch), _claim_spy(monkeypatch)
+    products = list(map_on_worker(lambda _: ch_nonlinear_term(u, v).data,
+                                  range(2)))
+    assert all(np.array_equal(product, expected) for product in products)
+    assert sorted(lanes) == [(False, 8), (cpus == 2, 8)]
+    assert claims.count(256 ** 2) == 2          # one claim per product
+    assert claims.count(None) == cpus - 1       # and one per map pair
+    assert len(claims) == cpus + 1
 
 
 def test_on_both_inside_the_worker_runs_inline(monkeypatch):
-    # a task on the worker that tries the worker again must not wait on it
+    # a task on the worker that claims the worker again must not wait on
+    # it: its claim gets None and its pair runs inline
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
     results = []
 
-    def nested():
-        return fields._on_both(_on_worker, _on_worker)
+    def on_both(second):
+        with fields._claim() as worker:
+            return fields._on_both(worker, _on_worker, second)
 
     caller = threading.Thread(
-        target=lambda: results.append(fields._on_both(_on_worker, nested)),
+        target=lambda: results.append(on_both(partial(on_both, _on_worker))),
         daemon=True)
     caller.start()
     caller.join(timeout=30)
@@ -374,13 +410,40 @@ def test_child_forked_during_a_map_runs_lanes_on_its_own_worker(monkeypatch):
 _THREAD_START = re.compile(r"\b(?:ThreadPoolExecutor|Thread)\s*\(")
 
 
+def _busy_acquirers(source):
+    """The innermost function around each acquisition of _BUSY in
+    `source`, a call of its acquire or a with block on it."""
+    tree = ast.parse(source)
+
+    def busy(node):
+        return (isinstance(node, ast.Name) and node.id == "_BUSY"
+                or isinstance(node, ast.Attribute) and node.attr == "_BUSY")
+
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "acquire"
+             and busy(node.value)]
+    lines += [item.context_expr.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.With, ast.AsyncWith))
+              for item in node.items if busy(item.context_expr)]
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [getattr(max((f for f in functions if f.lineno <= line <= f.end_lineno),
+                        key=lambda f: f.lineno, default=tree), "name", "<module>")
+            for line in lines]
+
+
 def test_threads_start_in_fields_only():
-    # One worker thread: only fields.py constructs a pool or a thread.
+    # One worker thread: only fields.py constructs a pool or a thread, and
+    # only its claim helper takes the worker's lock.
     package = Path(fields.__file__).parent
-    starts = {path.name: len(_THREAD_START.findall(path.read_text()))
-              for path in sorted(package.glob("*.py"))}
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    starts = {name: len(_THREAD_START.findall(text))
+              for name, text in sources.items()}
     assert starts["fields.py"] >= 1             # the scan sees the pool
     assert {name for name, hits in starts.items() if hits} == {"fields.py"}
+    claims = {(name, function) for name, text in sources.items()
+              for function in _busy_acquirers(text)}
+    assert claims == {("fields.py", "_claim")}
 
 
 @pytest.mark.parametrize("seed", range(10))

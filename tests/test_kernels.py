@@ -296,6 +296,29 @@ class TestGagliardoSeminorm:
             gagliardo_seminorm_direct(np.linspace(0, 1, 20), np.zeros(20), 0.5)
 
 
+_MESH = np.linspace(-12.0, 12.0, 481)
+_SAMPLES = np.exp(-(_MESH**2) / 2.0)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda xs, ys, beta: integral_fractional_laplacian(xs, ys, beta, 0.0),
+    gagliardo_seminorm_direct,
+], ids=["integral_fractional_laplacian", "gagliardo_seminorm_direct"])
+@pytest.mark.parametrize("xs, ys, beta, message", [
+    (_MESH[:64], _SAMPLES[:64], 0.5, "at least 65 points"),
+    (_MESH, _SAMPLES[:-1], 0.5, "matching 1D sample arrays"),
+    (_MESH + 0.01 * np.sin(_MESH), _SAMPLES, 0.5, "uniform mesh"),
+    (_MESH[::-1], _SAMPLES, 0.5, "uniform mesh"),
+    (_MESH, _SAMPLES, 0.0, r"must lie in \(0, 1\)"),
+    (_MESH, _SAMPLES, 1.0, r"must lie in \(0, 1\)"),
+    (_MESH, _SAMPLES, -0.5, r"must lie in \(0, 1\)"),
+], ids=["short", "unequal", "non-uniform", "decreasing", "beta-0", "beta-1",
+        "beta-negative"])
+def test_sampled_oracles_reject_bad_input(oracle, xs, ys, beta, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(xs, ys, beta)
+
+
 class TestMildSolutionPicard:
     @pytest.mark.parametrize("alpha, seed, nodes", [(1.0, 11, 25), (0.0, 12, 33)],
                              ids=("alpha=1", "alpha=0"))

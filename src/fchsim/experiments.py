@@ -141,9 +141,21 @@ def _environment():
     }
 
 
+def _peak_rss_mb():
+    """This process's own peak resident memory (VmHWM) in MB of 10^6
+    bytes, or None where /proc/self/status is missing."""
+    try:
+        with open("/proc/self/status") as status:
+            hwm = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+    except OSError:
+        return None
+    return int(hwm[0]) * 1024 / 1e6 if hwm else None
+
+
 def _finish(report, out_dir):
     report["passed"] = all(entry["passed"] for entry in report["assertions"])
     report["environment"] = _environment()
+    report["peak_rss_mb"] = _peak_rss_mb()
     write_report(report, os.path.join(out_dir, "report.json"))
     return report
 

@@ -22,7 +22,7 @@ import numpy as np
 from .spectral import (
     SPECTRAL, VectorField, divergence, half_buffer, half_of, inverse_buffer,
     real_forward, real_inverse, to_spectral, _drop_aliased, _forward_half,
-    _scalar_forward, _scalar_inverse,
+    _in_transform_order, _scalar_forward, _scalar_inverse,
 )
 
 # ch_nonlinear_term claims the worker for v's forward transform and its
@@ -270,10 +270,10 @@ def ch_nonlinear_term(u, v, dealias=True):
             lanes[0]()
         else:
             _on_both(worker, *lanes)
-    # in the transform order the stepper reads its half in; the 2/3 rule
-    # acts on the half before the mirror fill
-    nh = real_forward(out, axes, out=inverse_buffer(out.shape, axes),
-                      dealias=dealias)
+    # unfilled, in the transform order the stepper reads its half in: rfftn
+    # writes the half, the 2/3 rule zeroes its slabs, the mirror fill the rest
+    nh = real_forward(out, axes, dealias=dealias,
+                      out=_in_transform_order(np.empty, out.shape, axes))
     return VectorField(grid, nh, SPECTRAL)
 
 

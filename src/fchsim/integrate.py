@@ -31,7 +31,7 @@ from .fields import (
 from .helmholtz import apply_filter
 from .spectral import (
     PHYSICAL, SPECTRAL, VectorField, dealias, fractional_laplacian_symbol,
-    half_of, held_spectrum, helmholtz_symbol, hermitian_spectrum,
+    half_buffer, half_of, helmholtz_symbol, hermitian_spectrum,
     inverse_buffer, real_forward, to_physical, to_spectral, _drop_aliased,
     _spatial_axes,
 )
@@ -153,13 +153,15 @@ def _integrating_factors(grid, params, dt):
 
 
 def _rhs_filtered(grid, alpha, use_dealias):
-    """-P N(u, v) of a held state (spectral.held_spectrum), returned as a
-    fresh array of the modes 0 <= m <= N/2 of the last axis, in transform
-    order: only the product's half is projected."""
+    """-P N(u, v) of a full-size spectrum handed over in a one-item list:
+    rhs empties it and drops the spectrum once inverted, so the filter and
+    the product reuse its memory.  Returns the modes 0 <= m <= N/2 of the
+    last axis, compact, in transform order: only the product's half is
+    projected."""
     axes = _spatial_axes(grid)
 
-    def rhs(held):
-        v = to_physical(VectorField(grid, held, SPECTRAL))
+    def rhs(handed):
+        v = to_physical(VectorField(grid, handed.pop(), SPECTRAL))
         u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
         nl = ch_nonlinear_term(u, v, dealias=use_dealias)
         out = leray_project_half(grid, half_of(nl.data, axes))
@@ -168,11 +170,11 @@ def _rhs_filtered(grid, alpha, use_dealias):
     return rhs
 
 
-def _ifrk4(held, h, phi, phi_half, rhs):
-    """One integrating-factor RK4 step of a held state, in low storage.
+def _ifrk4(vhat, h, phi, phi_half, rhs):
+    """One low-storage integrating-factor RK4 step of a half-spectrum state.
 
-    Every live coefficient goes through the same floating-point
-    operations, with the same operands in the same order, as
+    Every coefficient goes through the same floating-point operations, with
+    the same operands in the same order, as
 
         n1 = rhs(v)
         n2 = rhs(P (v + h/2 n1))
@@ -180,62 +182,60 @@ def _ifrk4(held, h, phi, phi_half, rhs):
         n4 = rhs(phi v + h P n3)
         phi v + h/6 (phi n1 + 2 P (n2 + n3) + n4),    P = phi_half,
 
-    on the modes 0 <= m <= N/2 of the last axis, the only ones rhs reads;
-    the stage argument and the new state are held buffers (inverse_buffer)
-    whose other modes stay 0.  Besides `held` the step holds the
-    accumulator phi n1 (+ ...), the stage argument and at most one stage
-    result while rhs runs, all but the stage argument half-sized.
+    on the modes 0 <= m <= N/2 of the last axis: vhat and the new state are
+    compact (half_buffer layout).  Each stage argument is copied into those
+    modes of a fresh full-size inverse_buffer, which rhs is handed and
+    frees; the new state is formed in n4's buffer.  Besides vhat the step
+    holds the accumulator phi n1 (+ ...) and at most one stage result while
+    rhs runs, all half-sized.
     """
-    axes = tuple(range(1, held.ndim))
-    vhat = half_of(held, axes)
-    acc = rhs(held)
-    staged = inverse_buffer(held.shape, axes)
-    stage = half_of(staged, axes)
-    np.multiply(0.5 * h, acc, out=stage)
-    np.add(vhat, stage, out=stage)
-    np.multiply(phi_half, stage, out=stage)
+    axes = tuple(range(1, vhat.ndim))
+    shape = vhat.shape[:-1] + (2 * vhat.shape[-1] - 2,)
+
+    def handed(value):
+        # a fresh full-size buffer whose modes 0 <= m <= N/2 of the last
+        # axis hold the stage argument, in the one-item list rhs empties
+        staged = [inverse_buffer(shape, axes)]
+        half_of(staged[0], axes)[...] = value
+        return staged
+
+    acc = rhs(handed(vhat))
+    n2 = rhs(handed(phi_half * (vhat + (0.5 * h) * acc)))
     np.multiply(phi, acc, out=acc)                  # phi n1
-    n2 = rhs(staged)
-    np.multiply(phi_half, vhat, out=stage)
-    np.add(stage, np.multiply(0.5 * h, n2), out=stage)
-    n3 = rhs(staged)
+    n3 = rhs(handed(phi_half * vhat + (0.5 * h) * n2))
     np.add(n2, n3, out=n2)                          # n2 + n3
     np.multiply(h * phi_half, n3, out=n3)
-    np.multiply(phi, vhat, out=stage)
-    np.add(stage, n3, out=stage)
+    staged = handed(phi * vhat + n3)
     del n3
     n4 = rhs(staged)
     np.multiply(2.0 * phi_half, n2, out=n2)
     np.add(acc, n2, out=acc)
     np.add(acc, n4, out=acc)
     np.multiply(h / 6.0, acc, out=acc)
-    np.multiply(phi, vhat, out=stage)
-    np.add(stage, acc, out=stage)
-    return staged
+    np.multiply(phi, vhat, out=n4)
+    np.add(n4, acc, out=n4)
+    return n4
 
 
-def _advance(held, h, factors, rhs):
-    """The held state after one step of length h, its zero mode pinned."""
-    new = _ifrk4(held, h, *factors, rhs)
+def _advance(vhat, h, factors, rhs):
+    """The state after one step of length h, its zero mode pinned."""
+    new = _ifrk4(vhat, h, *factors, rhs)
     new[(slice(None),) + (0,) * (new.ndim - 1)] = 0.0
     return new
 
 
-def _snapshot(t, held, grid):
-    """The C-ordered, Hermitian SimState of a held state at time t."""
-    axes = _spatial_axes(grid)
-    full = hermitian_spectrum(half_of(held, axes), axes)
+def _snapshot(t, vhat, grid):
+    """The C-ordered, Hermitian SimState of a half-spectrum state at time t."""
+    full = hermitian_spectrum(vhat, _spatial_axes(grid))
     return SimState(t, ProjectedField(VectorField(grid, full, SPECTRAL)))
 
 
 def _blow_up_energy(grid, alpha):
-    """E of a held state (diagnostics.filtered_energy) from its modes
-    0 <= m <= N/2 of the last axis, with the filter's symbol formed there
+    """E of a half-spectrum state (diagnostics.filtered_energy), with the
+    filter's symbol formed on the modes 0 <= m <= N/2 of the last axis
     once."""
     helmholtz = helmholtz_symbol(alpha, grid.half_k_squared)
-    axes = _spatial_axes(grid)
-    return lambda held: filtered_energy(
-        mode_power(half_of(held, axes)), helmholtz, grid)
+    return lambda vhat: filtered_energy(mode_power(vhat), helmholtz, grid)
 
 
 def prepare_initial_state(initial, params):
@@ -255,14 +255,14 @@ def run(initial, params, observers=(), stride=1):
     appends the state's energy record (diagnostics.record_energy, with the
     dissipation symbol formed once per run) and calls each observer with the
     state; observers' return values are ignored.  Between samples the state
-    is stepped as a held half spectrum (_ifrk4) and no full spectrum is
-    kept; every state handed out is full, C-ordered and Hermitian.  After
-    every step the ledger's E alone is the blow-up check: BlowUpError,
-    carrying the records so far, unless E <= 10 E(0), which also fails for a
-    NaN or infinite coefficient.  The process keeps its freed memory from
-    here on (hold_freed_memory).  The datum itself is dropped once the
-    state is prepared, so a caller that hands it over does not keep it
-    through the steps.
+    is stepped as the compact modes 0 <= m <= N/2 of the last axis (_ifrk4)
+    and no full spectrum outlives a stage; every state handed out is full,
+    C-ordered and Hermitian.  After every step the ledger's E alone is the
+    blow-up check: BlowUpError, carrying the records so far, unless
+    E <= 10 E(0), which also fails for a NaN or infinite coefficient.  The
+    process keeps its freed memory from here on (hold_freed_memory).  The
+    datum itself is dropped once the state is prepared, so a caller that
+    hands it over does not keep it through the steps.
     """
     if stride < 1 or stride != int(stride):
         raise ValueError(f"stride must be a positive integer, got {stride}")
@@ -290,7 +290,9 @@ def run(initial, params, observers=(), stride=1):
             observe(s)
 
     sample(state)
-    t, held = state.t, held_spectrum(state.v.field.data, _spatial_axes(grid))
+    axes = _spatial_axes(grid)
+    t, vhat = state.t, half_buffer(state.v.field.data.shape, axes)
+    vhat[...] = half_of(state.v.field.data, axes)
     started = time.perf_counter()
     for j in range(1, n_total + 1):
         state = None
@@ -298,13 +300,13 @@ def run(initial, params, observers=(), stride=1):
         if remainder and j == n_total:
             h = remainder
             factors = _integrating_factors(grid, params, h)
-        held = _advance(held, h, factors, rhs)
+        vhat = _advance(vhat, h, factors, rhs)
         t = t + h
-        if not energy_of(held) <= 10.0 * records[0].E:
+        if not energy_of(vhat) <= 10.0 * records[0].E:
             raise BlowUpError(t, "quadratic energy not finite or above"
                               " ten times its initial value", records)
         if j % stride == 0 or j == n_total:
-            state = _snapshot(t, held, grid)
+            state = _snapshot(t, vhat, grid)
             sample(state)
     elapsed = time.perf_counter() - started
 

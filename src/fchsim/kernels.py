@@ -444,7 +444,7 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
     solution at time t as a spectral VectorField.
     """
     from .integrate import _rhs_filtered, prepare_initial_state
-    from .spectral import held_spectrum, hermitian_spectrum
+    from .spectral import hermitian_spectrum
 
     t = float(t)
     if t <= 0.0:
@@ -457,8 +457,8 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
     axes = tuple(range(1, grid.dim + 1))
 
     def rhs(vh):
-        # the stepper's right-hand side, on and back to full spectra
-        return hermitian_spectrum(stepper_rhs(held_spectrum(vh, axes)), axes)
+        # the stepper's right-hand side of the full iterate, mirrored back
+        return hermitian_spectrum(stepper_rhs([vh]), axes)
 
     symbol = params.nu * grid.k_squared**params.beta
     times = np.linspace(0.0, t, nodes)

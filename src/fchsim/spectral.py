@@ -12,14 +12,14 @@ Conventions fixed here and relied on everywhere else:
     nonlinear term's derivative spectra, a multiplier's spectrum of a physical
     field) is held in transform order, its spatial axes reversed in memory,
     so that the leading complex passes of irfftn run along contiguous
-    memory.  So is the time stepper's state: a full-size, zeroed
-    transform-order buffer (held_spectrum) in which only the modes
-    0 <= m <= N/2 of the last axis are live, one contiguous block per
-    component, and on which the step acts through half_of; and so is the
-    nonlinear term's output, whose half the stepper reads.  Every state
-    handed out of the stepper (hermitian_spectrum), every other spectrum and
-    every physical array are C-ordered.  The layout changes no transform
-    call, no element count and no result bit
+    memory.  So is the time stepper's state: the compact modes
+    0 <= m <= N/2 of the last axis alone (a half_buffer), one contiguous
+    block per component, each stage argument written into the live modes of
+    a fresh full-size inverse_buffer; and so is the nonlinear term's output,
+    whose half the stepper reads.  Every state handed out of the stepper
+    (hermitian_spectrum), every other spectrum and every physical array are
+    C-ordered.  The layout changes no transform call, no element count and
+    no result bit
   - physical quadrature weight is (L/N)^n, so the Parseval pairing is
     sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n)
   - wavenumbers are k = (2*pi/L)*m with integer m in [-N/2, N/2)
@@ -276,16 +276,6 @@ def half_of(spectrum, axes):
     return spectrum[tuple(index)]
 
 
-def held_spectrum(spectrum, axes):
-    """The modes 0 <= m <= N/2 of the last of `axes` of a full-size
-    spectrum, copied into an inverse_buffer whose other modes stay 0: what
-    the time stepper steps.  real_inverse of it is, bit for bit, real_inverse
-    of the spectrum."""
-    held = inverse_buffer(spectrum.shape, axes)
-    half_of(held, axes)[...] = half_of(spectrum, axes)
-    return held
-
-
 def hermitian_spectrum(half, axes):
     """The C-ordered full-size spectrum whose modes 0 <= m <= N/2 of the
     last of `axes` are `half`, bit for bit, and whose other modes are their
@@ -312,25 +302,30 @@ def _drop_aliased(spectrum, axes, n):
     return spectrum
 
 
-def inverse_buffer(shape, axes, dtype=np.complex128):
-    """A zeroed array of `shape` held in transform order: `axes` reversed in
-    memory, the first of them contiguous, after the other axes.  For a
-    spectrum that is only inverted, the modes real_inverse reads then form
-    one contiguous block per index of the other axes."""
+def _in_transform_order(allocate, shape, axes, dtype=np.complex128):
+    """allocate(shape, dtype) held in transform order: `axes` reversed in
+    memory, the first of them contiguous, after the other axes."""
     axes = tuple(axes)
     order = tuple(a for a in range(len(shape)) if a not in axes) + axes[::-1]
-    zeros = np.zeros([shape[a] for a in order], dtype)
-    return zeros.transpose(np.argsort(order))
+    return allocate([shape[a] for a in order], dtype).transpose(np.argsort(order))
+
+
+def inverse_buffer(shape, axes, dtype=np.complex128):
+    """A zeroed array of `shape` held in transform order.  For a spectrum
+    that is only inverted, the modes real_inverse reads then form one
+    contiguous block per index of the other axes, and the rest, which
+    irfftn transforms and discards, holds no stale bytes."""
+    return _in_transform_order(np.zeros, shape, axes, dtype)
 
 
 def half_buffer(shape, axes):
-    """A zeroed complex buffer, in transform order, for the modes
+    """An unfilled complex buffer, in transform order, for the modes
     0 <= m <= N/2 of the last of `axes` of a real array of `shape`: what
-    _forward_half fills."""
+    _forward_half fills, every element, and what the time stepper holds."""
     axes = tuple(axes)
     shape = list(shape)
     shape[axes[-1]] = shape[axes[-1]] // 2 + 1
-    return inverse_buffer(shape, axes)
+    return _in_transform_order(np.empty, shape, axes)
 
 
 def _forward_half(data, axes, out):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import platform
@@ -159,6 +160,23 @@ class TestSimulate:
             "python": platform.python_version(), "numpy": np.__version__,
             "cpu_affinity": fields._cpu_count(),
             "holds_freed_memory": hold_freed_memory()}
+        # the process's own high-water mark, read as the report is written
+        if os.path.exists("/proc/self/status"):
+            assert 0 < on_disk["peak_rss_mb"] <= experiments._peak_rss_mb()
+        else:
+            assert on_disk["peak_rss_mb"] is None
+
+    @pytest.mark.parametrize("status", [None, "Name:\tpython\n"],
+                             ids=["no-file", "no-line"])
+    def test_peak_memory_is_null_where_it_cannot_be_read(self, monkeypatch,
+                                                          status):
+        def fake_open(path, *args):
+            if status is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(status)
+
+        monkeypatch.setattr(experiments, "open", fake_open, raising=False)
+        assert experiments._peak_rss_mb() is None
 
     def test_blow_up_reported(self, tmp_path):
         config = config_for(
@@ -398,6 +416,7 @@ def _artifacts(out):
     report = json.loads(files.pop("report.json"))
     report.pop("wall_time", None)
     report.pop("environment")
+    report.pop("peak_rss_mb")
     report["config"].pop("output_dir")
     return report, files
 

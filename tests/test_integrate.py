@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -28,8 +29,9 @@ from fchsim.integrate import (
     stream_bump,
 )
 from fchsim.spectral import (
-    SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol, half_of,
-    held_spectrum, hermitian_defect, inverse_buffer, to_physical, to_spectral,
+    SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol,
+    half_buffer, half_of, hermitian_defect, inverse_buffer, to_physical,
+    to_spectral,
 )
 
 from conftest import dense_lattice, random_divfree, random_field
@@ -41,16 +43,23 @@ def make_params(**kw):
     return SolverParams(**base)
 
 
+def held(full):
+    """The state run steps: the modes 0 <= m <= N/2 of the last axis of a
+    full spectrum, copied into a compact transform-order half_buffer."""
+    axes = tuple(range(1, full.ndim))
+    vhat = half_buffer(full.shape, axes)
+    vhat[...] = half_of(full, axes)
+    return vhat
+
+
 def stepper(grid, params):
     """One step of length params.dt, as run takes it, from and to a full
     C-ordered state."""
     factors = _integrating_factors(grid, params, params.dt)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
-    axes = tuple(range(1, grid.dim + 1))
     return lambda state: integrate._snapshot(
         state.t + params.dt,
-        _advance(held_spectrum(state.v.field.data, axes), params.dt, factors, rhs),
-        grid)
+        _advance(held(state.v.field.data), params.dt, factors, rhs), grid)
 
 
 def _transform_ordered(array):
@@ -59,15 +68,21 @@ def _transform_ordered(array):
     return strides[0] == array.itemsize and list(strides) == sorted(strides)
 
 
+def _compact_transform_ordered(array):
+    # transform order with no gaps: read in memory order, C-contiguous
+    order = (0,) + tuple(range(array.ndim - 1, 0, -1))
+    return array.transpose(order).flags.c_contiguous
+
+
 def test_transform_order_stays_inside_the_fft_layer(monkeypatch):
-    # Spectra that are only inverted, the product's output and the state
-    # the stepper holds are held with their axes reversed in memory; every
-    # physical array the step multiplies, the filter's output and every
-    # state run hands out stay C-ordered (a reversed u or v slows the
-    # product).
+    # Spectra that are only inverted (every full-size stage argument), the
+    # product's output, the stage results and the compact state the stepper
+    # holds are held with their axes reversed in memory; every physical
+    # array the step multiplies, the filter's output and every state run
+    # hands out stay C-ordered (a reversed u or v slows the product).
     grid = SpectralGrid(2, 16, 2.0 * np.pi)
     params = make_params(alpha=0.3, t_end=0.02)
-    seen, held, products = [], [], []
+    seen, staged, results, products, steps = [], [], [], [], []
 
     def spy(u, v, dealias=True):
         seen.append((u.data.flags.c_contiguous, v.data.flags.c_contiguous))
@@ -77,17 +92,26 @@ def test_transform_order_stays_inside_the_fft_layer(monkeypatch):
     def spied_rhs(*args):
         rhs = _rhs_filtered(*args)
 
-        def traced(state):
-            held.append(state)
-            return rhs(state)
+        def traced(handed):
+            staged.append((handed[0].shape, _transform_ordered(handed[0])))
+            results.append(rhs(handed))
+            return results[-1]
         return traced
+
+    def spied_advance(*args):
+        steps.append(_advance(*args))
+        return steps[-1]
 
     monkeypatch.setattr(integrate, "ch_nonlinear_term", spy)
     monkeypatch.setattr(integrate, "_rhs_filtered", spied_rhs)
+    monkeypatch.setattr(integrate, "_advance", spied_advance)
     states = []
     run(random_divfree(grid, seed=8), params, observers=[states.append])
     assert seen == [(True, True)] * 8
-    assert len(held) == 8 and all(map(_transform_ordered, held))
+    assert staged == [((2, 16, 16), True)] * 8
+    assert len(steps) == 2 and len(results) == 8
+    for half in steps + results:
+        assert half.shape == (2, 16, 9) and _compact_transform_ordered(half)
     assert all(map(_transform_ordered, products))
     assert len(states) == 3
     assert all(s.v.field.data.flags.c_contiguous for s in states)
@@ -391,28 +415,88 @@ def _reference_ifrk4(vhat, h, phi, phi_half, rhs):
     (2, 32, 0.5, 0.01), (3, 16, 0.0, 0.01), (2, 32, 0.5, 0.0037),
 ], ids=["2d-alpha", "3d-alpha0", "2d-closing-step"])
 def test_low_storage_step_matches_reference_bitwise(dim, n, alpha, h):
-    # on the held half spectrum, each stage argument handed to rhs through
-    # a fresh held buffer
+    # on the compact half spectrum, each stage argument handed to rhs
+    # through a fresh full-size buffer
     grid = SpectralGrid(dim, n, 2 * np.pi)
     axes = tuple(range(1, dim + 1))
     params = make_params(alpha=alpha, dt=0.01)
-    held = held_spectrum(prepare_initial_state(
-        band_random(grid, seed=19, band=(1.0, 6.0)), params).v.field.data, axes)
-    before = held.copy()
+    vhat = held(prepare_initial_state(
+        band_random(grid, seed=19, band=(1.0, 6.0)), params).v.field.data)
+    before = vhat.copy()
     factors = _integrating_factors(grid, params, h)
     rhs = _rhs_filtered(grid, alpha, True)
 
     def rhs_of_half(half):
-        buffer = inverse_buffer(held.shape, axes)
+        buffer = inverse_buffer((dim,) + grid.shape, axes)
         half_of(buffer, axes)[...] = half
-        return rhs(buffer)
+        return rhs([buffer])
 
-    got = _ifrk4(held, h, *factors, rhs)
-    expected = _reference_ifrk4(half_of(held, axes), h, *factors, rhs_of_half)
-    assert _transform_ordered(got) and got.shape == held.shape
-    assert np.array_equal(half_of(got, axes), expected)
-    assert not np.any(got[..., n // 2 + 1:])   # the rest of the buffer stays 0
-    assert np.array_equal(held, before)     # the input state is not touched
+    got = _ifrk4(vhat, h, *factors, rhs)
+    expected = _reference_ifrk4(vhat, h, *factors, rhs_of_half)
+    # the new state is a compact half in the state's own layout
+    assert got.shape == (dim,) + (n,) * (dim - 1) + (n // 2 + 1,)
+    assert _compact_transform_ordered(got)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(vhat, before)     # the input state is not touched
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_each_stage_argument_is_freed_before_its_product(monkeypatch, alpha):
+    # rhs empties the one-item list it is handed and drops the full-size
+    # buffer once it is inverted, so the filter and the product reuse it
+    refs, freed = [], []
+
+    def spied_rhs(*args):
+        rhs = _rhs_filtered(*args)
+
+        def traced(handed):
+            owner = handed[0] if handed[0].base is None else handed[0].base
+            refs.append(weakref.ref(owner))
+            del owner
+            return rhs(handed)
+        return traced
+
+    def spy(u, v, dealias=True):
+        freed.append(refs[-1]() is None)
+        return ch_nonlinear_term(u, v, dealias=dealias)
+
+    monkeypatch.setattr(integrate, "_rhs_filtered", spied_rhs)
+    monkeypatch.setattr(integrate, "ch_nonlinear_term", spy)
+    grid = SpectralGrid(2, 16, 2.0 * np.pi)
+    run(random_divfree(grid, seed=8), make_params(alpha=alpha, t_end=0.02))
+    assert freed == [True] * 8
+
+
+# The peak of what numpy allocates in one step (tracemalloc), its input state
+# included, in units of the half state H, counted from the design with a
+# physical vector field taken as H and a full-size spectrum as 2H:
+#   2D, alpha > 0, at a lane of the product: the step's state, accumulator
+#     and one stage result (3), v, u and the product's sum (3), the half
+#     spectra of u and v (2), the lane's scalar spectrum and derivative (1.5)
+#     and irfftn's scratch spectrum (1): 10.5;
+#   3D, alpha = 0, while the fourth stage argument is inverted: the step's
+#     three halves (3), the argument (2), irfftn's two scratch spectra (4)
+#     and v (1): 10.
+# Each bound adds 0.5 for the FFT's line buffers and the small arrays.  A
+# full-size state (+1) and a stage argument kept through the product (+2)
+# read 13.4 and 11.5.
+@pytest.mark.parametrize("dim, n, alpha, bound", [
+    (2, 64, 0.3, 11.0), (3, 16, 0.0, 10.5)], ids=["2d-alpha", "3d-alpha0"])
+def test_step_memory_peak_in_half_states(dim, n, alpha, bound):
+    grid = SpectralGrid(dim, n, 2 * np.pi)
+    params = make_params(alpha=alpha, dt=0.01)
+    full = prepare_initial_state(band_random(grid, seed=19, band=(1.0, 6.0)),
+                                 params).v.field.data
+    factors = _integrating_factors(grid, params, params.dt)
+    rhs = _rhs_filtered(grid, alpha, True)
+    _advance(held(full), params.dt, factors, rhs)     # warm the FFT caches
+    tracemalloc.start()
+    try:
+        _advance(held(full), params.dt, factors, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / held(full).nbytes <= bound
 
 
 def _full_spectrum_trajectory(v0, params, steps):
@@ -467,7 +551,6 @@ def test_blow_up_energy_is_the_full_parseval_sum(dim, n, data):
     # against a dense sum over every mode built here; "band-random" is
     # dealiased, "every-mode" fills both self-paired planes too
     grid = SpectralGrid(dim, n, 2 * np.pi)
-    axes = tuple(range(1, dim + 1))
     if data == "band-random":
         full = prepare_initial_state(band_random(grid, seed=25, band=(1.0, 6.0)),
                                      make_params()).v.field.data
@@ -478,7 +561,7 @@ def test_blow_up_energy_is_the_full_parseval_sum(dim, n, data):
     power = np.sum(np.abs(full) ** 2, axis=0)
     for alpha in (0.0, 0.3):
         expected = np.sum(power / (1.0 + alpha ** 2 * k_squared)) * grid.mode_weight
-        got = integrate._blow_up_energy(grid, alpha)(held_spectrum(full, axes))
+        got = integrate._blow_up_energy(grid, alpha)(held(full))
         assert abs(got - expected) <= 1e-14 * expected, alpha
 
 

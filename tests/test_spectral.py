@@ -17,7 +17,7 @@ from fchsim.spectral import (
     gradient, divergence, curl, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
     half_buffer, inverse_buffer, apply_multiplier,
-    half_of, held_spectrum, hermitian_spectrum,
+    half_of, hermitian_spectrum,
     _forward_half,
 )
 from conftest import dealias_mask, dense_lattice, random_field
@@ -356,17 +356,23 @@ def test_real_inverse_does_not_depend_on_the_layout(dim, n, vector):
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_held_spectrum_round_trips_bit_for_bit(dim, n, vector):
-    # the stepper's state: the half copied into a zeroed transform-order
-    # buffer, inverted as the full spectrum is, and mirrored back out
+    # the stepper's state: the half copied into a compact transform-order
+    # half_buffer, written into the half of a zeroed full-size
+    # inverse_buffer as each stage argument is, inverted as the full
+    # spectrum is, and mirrored back out
     shape, axes = _dft_layout(dim, n, vector)
     spectrum = real_forward(
         np.random.default_rng(13 * n + dim).standard_normal(shape), axes)
-    held = held_spectrum(spectrum, axes)
-    assert held.shape == shape and held.strides[axes[0]] == held.itemsize
-    assert half_of(held, axes).shape == shape[:-1] + (n // 2 + 1,)
-    assert not np.any(held[..., n // 2 + 1:])
-    assert np.array_equal(real_inverse(held, axes), real_inverse(spectrum, axes))
-    back = hermitian_spectrum(half_of(held, axes), axes)
+    held = half_buffer(shape, axes)
+    held[...] = half_of(spectrum, axes)
+    assert held.shape == shape[:-1] + (n // 2 + 1,)
+    memory_order = tuple(range(axes[0])) + axes[::-1]
+    assert held.transpose(memory_order).flags.c_contiguous
+    staged = inverse_buffer(shape, axes)
+    half_of(staged, axes)[...] = held
+    assert not np.any(staged[..., n // 2 + 1:])
+    assert np.array_equal(real_inverse(staged, axes), real_inverse(spectrum, axes))
+    back = hermitian_spectrum(held, axes)
     assert back.flags.c_contiguous
     assert back.tobytes() == spectrum.tobytes()
 

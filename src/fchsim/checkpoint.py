@@ -4,6 +4,11 @@ Layout: magic "FCHV", version byte, then dim and points-per-axis as
 little-endian u32, then box length, viscosity, dissipation order, filter
 width and time as little-endian f64, then the spectral coefficients of each
 velocity component in row-major order as interleaved (real, imag) f64 pairs.
+
+The file holds the full spectrum, (dim, N, ..., N); a state holds the modes
+0 <= m <= N/2 of the last axis.  The writer mirrors the rest, conj F(-k), and
+the reader checks that the stored rest is that mirror, so no stored mode is
+dropped unseen.  Both go one plane (component, first index) at a time.
 """
 
 import os
@@ -40,6 +45,22 @@ class CheckpointDimensionError(CheckpointError):
     pass
 
 
+class CheckpointSymmetryError(CheckpointError):
+    """The stored modes past N/2 are not the mirror of the stored half."""
+
+
+def _stored_plane(half, component, i):
+    """Plane i of one component as the file stores it: the half's modes,
+    then the mirror images conj F(-k) of the modes 1 <= m < N/2 of plane -i
+    in reverse, each leading index j read at -j."""
+    n = half.shape[1]
+    mirror = half[component, -i % n]
+    for axis in range(mirror.ndim - 1):
+        mirror = mirror.take(-np.arange(n) % n, axis=axis)
+    return np.concatenate((half[component, i], np.conj(mirror[..., -2:0:-1])),
+                          axis=-1)
+
+
 def save_checkpoint(state, params, path):
     """Write a SimState and its physical parameters to `path`."""
     field = to_spectral(state.v.field)
@@ -55,17 +76,20 @@ def save_checkpoint(state, params, path):
         params.alpha,
         state.t,
     )
-    payload = np.ascontiguousarray(field.data).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)       # through the buffer protocol: no copy
+        for component, i in np.ndindex(grid.dim, grid.points_per_axis):
+            plane = _stored_plane(field.data, component, i)
+            fh.write(plane.astype("<c16", copy=False))
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (SimState, stored physical parameters).
 
     The stored nu/beta/alpha come back as a dict so the caller can rebuild
-    or cross-check its SolverParams; coefficients are reproduced bitwise.
+    or cross-check its SolverParams; coefficients are reproduced bitwise, as
+    a C-ordered half.  CheckpointSymmetryError when the stored modes past
+    N/2 are not the mirror of the stored half.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -94,14 +118,21 @@ def load_checkpoint(path):
                 f"coefficient block holds {body} bytes, expected {expected}"
             )
         grid = SpectralGrid(dim, points, box_length)
-        # read straight into the coefficient array: no copy of the file
-        stored = np.empty((dim,) + grid.shape, dtype="<c16")
-        read = fh.readinto(memoryview(stored).cast("B"))
-        if read != expected:
-            raise CheckpointTruncationError(
-                f"coefficient block holds {read} bytes, expected {expected}"
-            )
-    data = stored.astype(np.complex128, copy=False)
+        data = np.empty((dim,) + grid.spectral_shape, np.complex128)
+        plane = np.empty(grid.shape[1:], "<c16")
+        # the planes' halves first, then each whole plane against its mirror
+        for checking in (False, True):
+            fh.seek(_HEADER.size)
+            for component, i in np.ndindex(dim, points):
+                if fh.readinto(memoryview(plane).cast("B")) != plane.nbytes:
+                    raise CheckpointTruncationError("coefficient block ends early")
+                if not checking:
+                    data[component, i] = plane[..., :points // 2 + 1]
+                elif not np.array_equal(plane, _stored_plane(data, component, i),
+                                        equal_nan=True):
+                    raise CheckpointSymmetryError(
+                        f"stored modes past N/2 of component {component}, plane "
+                        f"{i} are not the mirror of the stored half")
     field = VectorField(grid, data, SPECTRAL)
     state = SimState(t, ProjectedField(field))
     return state, {"nu": nu, "beta": beta, "alpha": alpha}

@@ -5,8 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    fractional_laplacian_symbol, half_of, helmholtz_symbol, to_physical,
-    to_spectral, _spatial_axes)
+    fractional_laplacian_symbol, helmholtz_symbol, to_physical, to_spectral)
 
 
 @dataclass
@@ -38,12 +37,11 @@ class DecayFit:
 
 
 def l2_inner(a, b):
-    """Discrete L2 inner product, via Parseval when both are spectral."""
+    """Discrete L2 inner product, one Parseval sum when both are spectral."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     if a.is_spectral and b.is_spectral:
-        s = np.sum(a.data * np.conj(b.data)).real
-        return float(s * a.grid.mode_weight)
+        return _parseval_sum((a.data * np.conj(b.data)).real, a.grid)
     ap, bp = to_physical(a), to_physical(b)
     return float(np.sum(ap.data * bp.data) * a.grid.cell_volume)
 
@@ -54,12 +52,12 @@ def l2_norm_sq(field):
 
 def gradient_norm_sq(field, order=1):
     """Squared Sobolev seminorm |grad^m f|^2 = sum |k|^(2m) |fhat|^2 of a
-    real field, one Parseval sum over the half of its spectrum."""
+    real field, one Parseval sum over its spectrum."""
     fh = to_spectral(field)
     grid = fh.grid
-    power = _half_power(fh.data, grid)
+    power = mode_power(fh.data)
     if order:
-        power *= grid.half_k_squared ** order
+        power *= grid.k_squared ** order
     return _parseval_sum(power, grid)
 
 
@@ -71,66 +69,60 @@ def mode_power(vhat):
     return sum(power[1:], power[0])
 
 
-def _half_power(vhat, grid):
-    """mode_power of a spectrum on its modes 0 <= m <= N/2 of the last axis,
-    in the spectrum's own layout."""
-    return mode_power(half_of(vhat, _spatial_axes(grid)))
-
-
 def _parseval_sum(per_mode, grid):
     """The one Parseval sum: sum_k w(k) times the mode weight, for a per-mode
-    quantity w of a Hermitian spectrum given on its modes 0 <= m <= N/2 of
-    the last axis, in any layout.  The interior columns 1 <= m < N/2 count
-    twice, once for their mirror images conj F(-k); the self-paired columns
-    m = 0 and m = N/2 count once."""
+    quantity w of a Hermitian spectrum in rfftn layout (any memory order,
+    any leading axes).  The interior columns 1 <= m < N/2 of the last axis
+    count twice, once for their mirror images conj F(-k); the self-paired
+    columns m = 0 and m = N/2 count once."""
     interior = per_mode[..., 1:grid.points_per_axis // 2]
     return float((np.sum(per_mode) + np.sum(interior)) * grid.mode_weight)
 
 
 def filtered_energy(amp2, helmholtz, grid):
     """E = |u|^2 + alpha^2 |grad u|^2 of u = (1 - alpha^2 Laplace)^-1 v, from
-    the per-mode power amp2 of v on the modes 0 <= m <= N/2 of the last axis
-    and the filter's symbol there, helmholtz = 1 + alpha^2 |k|^2
-    (spectral.helmholtz_symbol of grid.half_k_squared): the filter acts per
-    mode, so E is one Parseval sum of amp2 / helmholtz."""
+    the per-mode power amp2 of v and the filter's symbol,
+    helmholtz = 1 + alpha^2 |k|^2 (spectral.helmholtz_symbol of
+    grid.k_squared): the filter acts per mode, so E is one Parseval sum of
+    amp2 / helmholtz."""
     return _parseval_sum(amp2 / helmholtz, grid)
 
 
 def energy_ledger(amp2, symbol, grid, alpha, decay=None):
     """The one place a spectrum becomes E, D, |v|^2 and |grad v|^2.
 
-    Every input lives on the modes 0 <= m <= N/2 of the last axis: amp2 is
-    the per-mode power of v (mode_power), symbol the dissipation symbol
-    |k|^(2 beta) (spectral.fractional_laplacian_symbol of
-    grid.half_k_squared) and `decay` an optional per-mode factor on amp2, as
-    the linear semigroup's exp(-2 nu |k|^(2 beta) t).  D = |Lam^beta u|^2 +
-    alpha^2 |grad Lam^beta u|^2 is the filtered energy of Lam^beta v.
+    Every input is per mode of a spectrum: amp2 is the power of v
+    (mode_power), symbol the dissipation symbol |k|^(2 beta)
+    (spectral.fractional_laplacian_symbol of grid.k_squared) and `decay` an
+    optional factor on amp2, as the linear semigroup's
+    exp(-2 nu |k|^(2 beta) t).  D = |Lam^beta u|^2 + alpha^2 |grad Lam^beta u|^2
+    is the filtered energy of Lam^beta v.
     """
     def decayed(power):
         return power if decay is None else power * decay
 
     power = decayed(amp2)
-    helmholtz = helmholtz_symbol(alpha, grid.half_k_squared)
+    helmholtz = helmholtz_symbol(alpha, grid.k_squared)
     return {
         "E": filtered_energy(power, helmholtz, grid),
         "D": filtered_energy(decayed(symbol * amp2), helmholtz, grid),
         "v_l2": _parseval_sum(power, grid),
-        "gradv_l2": _parseval_sum(decayed(grid.half_k_squared * amp2), grid),
+        "gradv_l2": _parseval_sum(decayed(grid.k_squared * amp2), grid),
     }
 
 
 def record_energy(state, params, symbol=None):
     """The energy ledger of a state, with its largest Fourier amplitude.
 
-    `symbol` is the dissipation symbol |k|^(2 params.beta) on the modes
-    0 <= m <= N/2 of the last axis (fractional_laplacian_symbol of
-    grid.half_k_squared), formed here when not given.
+    `symbol` is the dissipation symbol |k|^(2 params.beta)
+    (fractional_laplacian_symbol of grid.k_squared), formed here when not
+    given.
     """
     grid = state.grid
-    amp2 = _half_power(state.v.field.data, grid)
+    amp2 = mode_power(state.v.field.data)
     fhat_max = float(np.max(np.sqrt(amp2)) * grid.cell_volume)
     if symbol is None:
-        symbol = fractional_laplacian_symbol(grid.half_k_squared, params.beta)
+        symbol = fractional_laplacian_symbol(grid.k_squared, params.beta)
     return EnergyRecord(float(state.t), fhat_max=fhat_max,
                         **energy_ledger(amp2, symbol, grid, params.alpha))
 
@@ -266,8 +258,8 @@ def linear_decay_curve(v0, params, times):
     decay reports quote next to the measured fits.
     """
     grid = v0.grid
-    amp2 = _half_power(to_spectral(v0).data, grid)
-    symbol = fractional_laplacian_symbol(grid.half_k_squared, params.beta)
+    amp2 = mode_power(to_spectral(v0).data)
+    symbol = fractional_laplacian_symbol(grid.k_squared, params.beta)
     rate = -2.0 * params.nu * symbol
     ledgers = [energy_ledger(amp2, symbol, grid, params.alpha, np.exp(rate * t))
                for t in np.asarray(times, dtype=float)]

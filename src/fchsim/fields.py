@@ -21,8 +21,8 @@ import numpy as np
 
 from .spectral import (
     SPECTRAL, VectorField, divergence, half_buffer, half_of, inverse_buffer,
-    real_forward, real_inverse, to_spectral, _drop_aliased, _forward_half,
-    _in_transform_order, _scalar_forward, _scalar_inverse,
+    real_forward, real_inverse, to_spectral, _drop_aliased, _scalar_forward,
+    _scalar_inverse,
 )
 
 # ch_nonlinear_term claims the worker for v's forward transform and its
@@ -56,39 +56,26 @@ def divergence_defect(field):
 
 
 def leray_project(v):
-    """Per-mode projection vhat -> (I - k k^T/|k|^2) vhat.
+    """Per-mode projection vhat -> (I - k k^T/|k|^2) vhat, into a new array
+    laid out as vhat.
 
     The zero mode is forced to zero (mean-free velocity convention), which
     also removes the 0/0 in the projector there.
     """
     vh = to_spectral(v).data
     grid = v.grid
-    data = _project(vh, grid.derivative_wavenumbers, grid.inverse_k_squared)
-    return ProjectedField(VectorField(grid, data, SPECTRAL))
-
-
-def leray_project_half(grid, half):
-    """leray_project on the modes 0 <= m <= N/2 of the last axis: maps such
-    a half spectrum, in any layout, to a fresh array in its layout, bit for
-    bit the half of leray_project's output."""
-    return _project(half, grid.half_derivative_wavenumbers,
-                    grid.half_inverse_k_squared)
-
-
-def _project(vh, k, inverse_k_squared):
-    """(I - k k^T/|k|^2) vh with the zero mode 0, into a new array laid out
-    as vh; k and inverse_k_squared broadcast against each component."""
+    k = grid.derivative_wavenumbers
     # one component at a time: no (dim, N^n) temporaries
     kdotv = k[0] * vh[0]
     for i in range(1, len(vh)):
         kdotv += k[i] * vh[i]
-    kdotv *= inverse_k_squared
+    kdotv *= grid.inverse_k_squared
     data = np.empty_like(vh)
     for i in range(len(vh)):
         np.multiply(k[i], kdotv, out=data[i])
         np.subtract(vh[i], data[i], out=data[i])
     data[(slice(None),) + (0,) * (vh.ndim - 1)] = 0.0
-    return data
+    return ProjectedField(VectorField(grid, data, SPECTRAL))
 
 
 def _jacobian_physical(grid, fh_data):
@@ -122,7 +109,7 @@ def _add_terms(job):
     """Add a lane's derivative terms into its components of `out`.
 
     `job` is [uh, vh, u, v, ik, terms, out, spectrum, derivative], with uh
-    and vh the half spectra of u and v, ik the derivative multipliers, one
+    and vh the spectra of u and v, ik the derivative multipliers, one
     broadcastable line per axis, and spectrum a transform-order buffer that
     stays 0 past the modes the inverse reads.  It is emptied on entry: once
     this returns, a worker thread running it holds none of the arrays.
@@ -233,7 +220,7 @@ def ch_nonlinear_term(u, v, dealias=True):
 
     Products are formed pointwise in physical space, derivatives taken
     spectrally, and the result dealiased (2/3 rule) unless disabled; the
-    spectrum is exactly Hermitian and held in transform order.  The
+    spectrum is held in transform order, the layout the stepper reads.  The
     Jacobians are streamed: each derivative d_b v_a and d_b u_a goes through
     a reused spectral and physical buffer and is folded into the product at
     once, as u_b d_b v_a into component a and v_a d_b u_a into component b.
@@ -249,16 +236,14 @@ def ch_nonlinear_term(u, v, dealias=True):
     grid = u.grid
     dim = grid.dim
     axes = tuple(range(1, dim + 1))
-    # The inverse reads only the modes 0 <= m <= N/2 of the last axis, so
-    # the derivative spectra are formed there alone, all in the transform
-    # order of the half spectra.  Every buffer is allocated on this thread:
-    # allocated on the worker they came from its own malloc arena, 112.5 ->
-    # 114.3 MB peak RSS at 48^3.
+    # The spectra are held in transform order.  Every buffer is allocated on
+    # this thread: allocated on the worker they came from its own malloc
+    # arena, 112.5 -> 114.3 MB peak RSS at 48^3.
     uh, vh = half_buffer(u.data.shape, axes), half_buffer(v.data.shape, axes)
     with _claim(grid.points_per_axis ** dim) as worker:
-        _on_both(worker, partial(_forward_half, u.data, axes, uh),
-                 partial(_forward_half, v.data, axes, vh))
-        ik = [1j * k for k in grid.half_derivative_wavenumbers]
+        _on_both(worker, partial(real_forward, u.data, axes, uh),
+                 partial(real_forward, v.data, axes, vh))
+        ik = [1j * k for k in grid.derivative_wavenumbers]
         out = np.zeros((dim,) + grid.shape)
         # a lane writes only its own components, through its own buffers
         lanes = [partial(_add_terms, [
@@ -270,10 +255,7 @@ def ch_nonlinear_term(u, v, dealias=True):
             lanes[0]()
         else:
             _on_both(worker, *lanes)
-    # unfilled, in the transform order the stepper reads its half in: rfftn
-    # writes the half, the 2/3 rule zeroes its slabs, the mirror fill the rest
-    nh = real_forward(out, axes, dealias=dealias,
-                      out=_in_transform_order(np.empty, out.shape, axes))
+    nh = real_forward(out, axes, dealias=dealias, out=half_buffer(out.shape, axes))
     return VectorField(grid, nh, SPECTRAL)
 
 

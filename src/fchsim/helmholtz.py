@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import fit_line, lp_norm, mode_power
+from .diagnostics import _parseval_sum, fit_line, lp_norm, mode_power
 from .spectral import apply_multiplier, helmholtz_symbol, to_spectral
 
 
@@ -33,11 +33,13 @@ def apply_filter(v, alpha):
 
 
 def filter_identity_residual(v, alpha, m=0):
-    """Relative defect of the exact three-term norm identity at derivative order m."""
+    """Relative defect of the exact three-term norm identity at derivative
+    order m, both sides Parseval sums over the spectrum."""
     _check_width(alpha)
     if m < 0 or m != int(m):
         raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
-    k2 = v.grid.k_squared
+    grid = v.grid
+    k2 = grid.k_squared
     vh = to_spectral(v).data
     uh = vh / helmholtz_symbol(alpha, k2)
     amp_u = mode_power(uh)
@@ -45,10 +47,10 @@ def filter_identity_residual(v, alpha, m=0):
     km = k2**m
     lhs = km * amp_u + 2.0 * alpha**2 * km * k2 * amp_u + alpha**4 * km * k2**2 * amp_u
     rhs = km * amp_v
-    denom = np.sum(rhs)
+    denom = _parseval_sum(rhs, grid)
     if denom == 0.0:
         return 0.0
-    return float(np.sum(np.abs(lhs - rhs)) / denom)
+    return _parseval_sum(np.abs(lhs - rhs), grid) / denom
 
 
 def filter_convergence_curve(v, alphas, q=2.0):

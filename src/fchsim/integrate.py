@@ -26,14 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import filtered_energy, mode_power, record_energy
-from .fields import (
-    ProjectedField, ch_nonlinear_term, leray_project, leray_project_half)
+from .fields import ProjectedField, ch_nonlinear_term, leray_project
 from .helmholtz import apply_filter
 from .spectral import (
     PHYSICAL, SPECTRAL, VectorField, dealias, fractional_laplacian_symbol,
-    half_buffer, half_of, helmholtz_symbol, hermitian_spectrum,
-    inverse_buffer, real_forward, to_physical, to_spectral, _drop_aliased,
-    _spatial_axes,
+    full_size, half_buffer, helmholtz_symbol, real_forward, real_inverse,
+    to_physical, to_spectral, _drop_aliased, _spatial_axes,
 )
 
 
@@ -146,32 +144,32 @@ class RunSummary:
 
 
 def _integrating_factors(grid, params, dt):
-    """exp(-nu |k|^(2 beta) dt) and its half step, on the modes
-    0 <= m <= N/2 of the last axis, in the transform order of the state."""
-    lam = params.nu * fractional_laplacian_symbol(grid.half_k_squared, params.beta)
+    """exp(-nu |k|^(2 beta) dt) and its half step, in the transform order
+    of the state."""
+    lam = params.nu * fractional_laplacian_symbol(grid.k_squared, params.beta)
     return np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
 
 
 def _rhs_filtered(grid, alpha, use_dealias):
-    """-P N(u, v) of a full-size spectrum handed over in a one-item list:
-    rhs empties it and drops the spectrum once inverted, so the filter and
-    the product reuse its memory.  Returns the modes 0 <= m <= N/2 of the
-    last axis, compact, in transform order: only the product's half is
-    projected."""
+    """-P N(u, v) of a full-size spectrum (spectral.full_size) handed over
+    in a one-item list: rhs empties it and drops the spectrum once
+    real_inverse has inverted it, so the filter and the product reuse its
+    memory.  Returns a compact spectrum in transform order, the product's
+    layout, projected by leray_project."""
     axes = _spatial_axes(grid)
 
     def rhs(handed):
-        v = to_physical(VectorField(grid, handed.pop(), SPECTRAL))
+        v = VectorField(grid, real_inverse(handed.pop(), axes), PHYSICAL)
         u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
         nl = ch_nonlinear_term(u, v, dealias=use_dealias)
-        out = leray_project_half(grid, half_of(nl.data, axes))
+        out = leray_project(nl).field.data
         return np.negative(out, out=out)
 
     return rhs
 
 
 def _ifrk4(vhat, h, phi, phi_half, rhs):
-    """One low-storage integrating-factor RK4 step of a half-spectrum state.
+    """One low-storage integrating-factor RK4 step of the compact state.
 
     Every coefficient goes through the same floating-point operations, with
     the same operands in the same order, as
@@ -182,30 +180,22 @@ def _ifrk4(vhat, h, phi, phi_half, rhs):
         n4 = rhs(phi v + h P n3)
         phi v + h/6 (phi n1 + 2 P (n2 + n3) + n4),    P = phi_half,
 
-    on the modes 0 <= m <= N/2 of the last axis: vhat and the new state are
-    compact (half_buffer layout).  Each stage argument is copied into those
-    modes of a fresh full-size inverse_buffer, which rhs is handed and
-    frees; the new state is formed in n4's buffer.  Besides vhat the step
-    holds the accumulator phi n1 (+ ...) and at most one stage result while
-    rhs runs, all half-sized.
+    on a spectrum in rfftn layout: vhat and the new state are compact
+    (half_buffer layout).  Each stage argument is copied into a fresh
+    full-size buffer (spectral.full_size), which rhs is handed and frees;
+    the new state is formed in n4's buffer.  Besides vhat the step holds the
+    accumulator phi n1 (+ ...) and at most one stage result while rhs runs,
+    all of the state's size.
     """
     axes = tuple(range(1, vhat.ndim))
-    shape = vhat.shape[:-1] + (2 * vhat.shape[-1] - 2,)
-
-    def handed(value):
-        # a fresh full-size buffer whose modes 0 <= m <= N/2 of the last
-        # axis hold the stage argument, in the one-item list rhs empties
-        staged = [inverse_buffer(shape, axes)]
-        half_of(staged[0], axes)[...] = value
-        return staged
-
-    acc = rhs(handed(vhat))
-    n2 = rhs(handed(phi_half * (vhat + (0.5 * h) * acc)))
+    # each stage argument goes full-size into a one-item list that rhs empties
+    acc = rhs([full_size(vhat, axes)])
+    n2 = rhs([full_size(phi_half * (vhat + (0.5 * h) * acc), axes)])
     np.multiply(phi, acc, out=acc)                  # phi n1
-    n3 = rhs(handed(phi_half * vhat + (0.5 * h) * n2))
+    n3 = rhs([full_size(phi_half * vhat + (0.5 * h) * n2, axes)])
     np.add(n2, n3, out=n2)                          # n2 + n3
     np.multiply(h * phi_half, n3, out=n3)
-    staged = handed(phi * vhat + n3)
+    staged = [full_size(phi * vhat + n3, axes)]
     del n3
     n4 = rhs(staged)
     np.multiply(2.0 * phi_half, n2, out=n2)
@@ -225,16 +215,17 @@ def _advance(vhat, h, factors, rhs):
 
 
 def _snapshot(t, vhat, grid):
-    """The C-ordered, Hermitian SimState of a half-spectrum state at time t."""
-    full = hermitian_spectrum(vhat, _spatial_axes(grid))
-    return SimState(t, ProjectedField(VectorField(grid, full, SPECTRAL)))
+    """The SimState of the stepper's state at time t, as a C-ordered copy:
+    np.sum adds in memory order, so the ledger of the transform-order state
+    itself would differ in its last bits from that of any other spectrum."""
+    data = np.ascontiguousarray(vhat)
+    return SimState(t, ProjectedField(VectorField(grid, data, SPECTRAL)))
 
 
 def _blow_up_energy(grid, alpha):
-    """E of a half-spectrum state (diagnostics.filtered_energy), with the
-    filter's symbol formed on the modes 0 <= m <= N/2 of the last axis
-    once."""
-    helmholtz = helmholtz_symbol(alpha, grid.half_k_squared)
+    """E of the stepper's state (diagnostics.filtered_energy), with the
+    filter's symbol formed once."""
+    helmholtz = helmholtz_symbol(alpha, grid.k_squared)
     return lambda vhat: filtered_energy(mode_power(vhat), helmholtz, grid)
 
 
@@ -255,14 +246,15 @@ def run(initial, params, observers=(), stride=1):
     appends the state's energy record (diagnostics.record_energy, with the
     dissipation symbol formed once per run) and calls each observer with the
     state; observers' return values are ignored.  Between samples the state
-    is stepped as the compact modes 0 <= m <= N/2 of the last axis (_ifrk4)
-    and no full spectrum outlives a stage; every state handed out is full,
-    C-ordered and Hermitian.  After every step the ledger's E alone is the
-    blow-up check: BlowUpError, carrying the records so far, unless
-    E <= 10 E(0), which also fails for a NaN or infinite coefficient.  The
-    process keeps its freed memory from here on (hold_freed_memory).  The
-    datum itself is dropped once the state is prepared, so a caller that
-    hands it over does not keep it through the steps.
+    is stepped as a compact spectrum in transform order (_ifrk4) and no
+    full-size spectrum outlives a stage; every state handed out is a
+    C-ordered copy in rfftn layout (_snapshot).  After every step the
+    ledger's E alone is the blow-up check: BlowUpError, carrying the records
+    so far, unless E <= 10 E(0), which also fails for a NaN or infinite
+    coefficient.  The process keeps its freed memory from here on
+    (hold_freed_memory).  The datum itself is dropped once the state is
+    prepared, so a caller that hands it over does not keep it through the
+    steps.
     """
     if stride < 1 or stride != int(stride):
         raise ValueError(f"stride must be a positive integer, got {stride}")
@@ -273,7 +265,7 @@ def run(initial, params, observers=(), stride=1):
     params.warn_if_beta_exotic(grid.dim)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
     factors = _integrating_factors(grid, params, params.dt)
-    symbol = fractional_laplacian_symbol(grid.half_k_squared, params.beta)
+    symbol = fractional_laplacian_symbol(grid.k_squared, params.beta)
     energy_of = _blow_up_energy(grid, params.alpha)
 
     n_full = int(np.floor(params.t_end / params.dt * (1 + 1e-12)))
@@ -291,8 +283,8 @@ def run(initial, params, observers=(), stride=1):
 
     sample(state)
     axes = _spatial_axes(grid)
-    t, vhat = state.t, half_buffer(state.v.field.data.shape, axes)
-    vhat[...] = half_of(state.v.field.data, axes)
+    t, vhat = state.t, half_buffer((grid.dim,) + grid.shape, axes)
+    vhat[...] = state.v.field.data
     started = time.perf_counter()
     for j in range(1, n_total + 1):
         state = None

@@ -16,9 +16,9 @@ from scipy import special
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from .diagnostics import fit_line
+from .diagnostics import _parseval_sum, fit_line, mode_power
 from .fields import leray_project
-from .spectral import SPECTRAL, VectorField, to_spectral
+from .spectral import SPECTRAL, VectorField, full_size, to_spectral
 
 
 class AccuracyError(RuntimeError):
@@ -382,11 +382,9 @@ def gagliardo_seminorm_fourier(field, beta, box_length=None):
     beta = _fractional_order(beta)
     if isinstance(field, VectorField):
         grid = field.grid
-        spectral = to_spectral(field)
-        power = np.sum(np.abs(spectral.data) ** 2, axis=0)
-        k_sq = grid.k_squared
-        weight = grid.mode_weight
         n = grid.dim
+        power = mode_power(to_spectral(field).data)
+        total = _parseval_sum(grid.k_squared**beta * power, grid)
     else:
         data = np.asarray(field)
         if box_length is None:
@@ -401,8 +399,9 @@ def gagliardo_seminorm_fourier(field, beta, box_length=None):
         mesh = np.meshgrid(*axes_k, indexing="ij")
         k_sq = sum(k * k for k in mesh)
         weight = box_length**n / float(np.prod(shape)) ** 2
+        total = weight * float(np.sum(k_sq**beta * power))
     constant = normalization_constant(n, beta)
-    seminorm_sq = 2.0 / constant * weight * float(np.sum(k_sq**beta * power))
+    seminorm_sq = 2.0 / constant * total
     return math.sqrt(max(seminorm_sq, 0.0))
 
 
@@ -444,7 +443,6 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
     solution at time t as a spectral VectorField.
     """
     from .integrate import _rhs_filtered, prepare_initial_state
-    from .spectral import hermitian_spectrum
 
     t = float(t)
     if t <= 0.0:
@@ -457,8 +455,7 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
     axes = tuple(range(1, grid.dim + 1))
 
     def rhs(vh):
-        # the stepper's right-hand side of the full iterate, mirrored back
-        return hermitian_spectrum(stepper_rhs([vh]), axes)
+        return stepper_rhs([full_size(vh, axes)])
 
     symbol = params.nu * grid.k_squared**params.beta
     times = np.linspace(0.0, t, nodes)

@@ -8,28 +8,28 @@ Conventions fixed here and relied on everywhere else:
     1/N^n factor
   - every transform of the solver goes through real_forward/real_inverse:
     physical data is real, so the spectrum is Hermitian, F(-k) = conj F(k)
-  - memory layout: a spectrum the solver builds only to invert it (the
-    nonlinear term's derivative spectra, a multiplier's spectrum of a physical
-    field) is held in transform order, its spatial axes reversed in memory,
+  - one spectrum layout, numpy's rfftn layout: every spectral field and
+    state holds the modes 0 <= m <= N/2 of the last axis alone, shape
+    (dim, N, ..., N/2+1), its self-paired planes m = 0 and m = N/2 exactly
+    Hermitian (_pair_planes).  Only real_inverse takes a full-size spectrum:
+    a zeroed inverse_buffer around the half (full_size)
+  - memory layout: a spectrum only inverted (the nonlinear term's
+    derivative spectra, a multiplier's spectrum of a physical field, each
+    stage argument), the time stepper's state and the nonlinear term's
+    output are held in transform order, the spatial axes reversed in memory,
     so that the leading complex passes of irfftn run along contiguous
-    memory.  So is the time stepper's state: the compact modes
-    0 <= m <= N/2 of the last axis alone (a half_buffer), one contiguous
-    block per component, each stage argument written into the live modes of
-    a fresh full-size inverse_buffer; and so is the nonlinear term's output,
-    whose half the stepper reads.  Every state handed out of the stepper
-    (hermitian_spectrum), every other spectrum and every physical array are
-    C-ordered.  The layout changes no transform call, no element count and
-    no result bit
+    memory.  Every state handed out of the stepper, every other spectrum and
+    every physical array are C-ordered.  The layout changes no transform
+    call, no element count and no result bit
   - physical quadrature weight is (L/N)^n, so the Parseval pairing is
-    sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n)
+    sum|f|^2 (L/N)^n = sum|F|^2 L^n/N^(2n) (diagnostics._parseval_sum)
   - wavenumbers are k = (2*pi/L)*m with integer m in [-N/2, N/2)
   - the lattice has one owner and one format, SpectralGrid: one
     broadcastable line per axis for the mode numbers and the derivative
-    wavenumbers (Nyquist zeroed), and, formed once per grid, the dense |k|^2
-    and Leray weight 1/|k|^2, C-ordered on the full spectrum and in
-    transform order on the modes 0 <= m <= N/2 of the last axis.  Every
-    derivative is a 1j * line broadcast, every multiplier reads one of the
-    dense arrays, and every sum over the axes runs in axis order
+    wavenumbers (Nyquist zeroed), and, formed once per grid in transform
+    order, the dense |k|^2 and Leray weight 1/|k|^2.  Every derivative is a
+    1j * line broadcast, every multiplier reads one of the dense arrays, and
+    every sum over the axes runs in axis order
   - the 2/3 rule keeps 3|m| < N on every axis; dealias,
     real_forward(..., dealias=True) and every other user zero the other
     modes as one slab per axis (_drop_aliased); no mask is kept
@@ -90,29 +90,27 @@ def _leray_weight(ksq):
 
 def _lines(values, dim):
     """`values` along each axis in turn: dim lines, line i of shape
-    (1, .., N, .., 1) with N on axis i, broadcastable over a spectrum."""
-    return tuple(values.reshape([-1 if a == i else 1 for a in range(dim)])
-                 for i in range(dim))
+    (1, .., N, .., 1) with N on axis i, and the last line cut at N/2+1,
+    broadcastable over a spectrum."""
+    cut = len(values) // 2 + 1
+    return tuple((values[:cut] if i == dim - 1 else values).reshape(
+        [-1 if a == i else 1 for a in range(dim)]) for i in range(dim))
 
 
-def _full_and_half(lines, n):
-    """sum_i line_i^2, added to 0 in axis order as np.sum over a stack
-    adds: C-ordered on the full spectrum, and in transform order on the
-    modes 0 <= m <= N/2 of the last axis."""
-    dim, half = len(lines), n // 2 + 1
-    full = np.zeros((n,) * dim)
-    cut = inverse_buffer((n,) * (dim - 1) + (half,), range(dim), np.float64)
+def _sum_of_squares(lines, shape):
+    """sum_i line_i^2 over the spectrum's `shape`, added to 0 in axis order
+    as np.sum over a stack adds, in transform order."""
+    out = inverse_buffer(shape, range(len(shape)), np.float64)
     for line in lines:
-        full += line ** 2
-        cut += line[..., :half] ** 2
-    return full, cut
+        out += line ** 2
+    return out
 
 
 class SpectralGrid(object):
     """Periodic box discretization with its wavenumber lattice: lines per
     axis, and the read-only |k|^2 and Leray weight 1/|k|^2 (over the
-    derivative wavenumbers, 1 at k = 0), formed once for the full and the
-    half spectrum (see the module docstring)."""
+    derivative wavenumbers, 1 at k = 0), formed once on the spectrum's
+    modes 0 <= m <= N/2 of the last axis (see the module docstring)."""
 
     def __init__(self, dim, points_per_axis, box_length):
         validate_grid(dim, points_per_axis, box_length)
@@ -121,6 +119,8 @@ class SpectralGrid(object):
         self.points_per_axis = n
         self.box_length = float(box_length)
         self.shape = (n,) * dim
+        # the rfftn layout of one spectral component
+        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self.spacing = self.box_length / n
         # integer mode numbers m per axis, fft ordering 0,1,..,-N/2,..,-1
         m1d = np.fft.fftfreq(n, d=1.0 / n)
@@ -130,13 +130,10 @@ class SpectralGrid(object):
         # mode zeroed, else the result picks up a spurious imaginary part
         self.derivative_wavenumbers = _lines(
             np.where(np.abs(m1d) == n // 2, 0.0, k1d), dim)
-        self.half_derivative_wavenumbers = tuple(
-            k[..., :n // 2 + 1] for k in self.derivative_wavenumbers)
-        self.k_squared, self.half_k_squared = _full_and_half(_lines(k1d, dim), n)
-        self.inverse_k_squared, self.half_inverse_k_squared = map(
-            _leray_weight, _full_and_half(self.derivative_wavenumbers, n))
-        for shared in (self.k_squared, self.half_k_squared,
-                       self.inverse_k_squared, self.half_inverse_k_squared):
+        self.k_squared = _sum_of_squares(_lines(k1d, dim), self.spectral_shape)
+        self.inverse_k_squared = _leray_weight(
+            _sum_of_squares(self.derivative_wavenumbers, self.spectral_shape))
+        for shared in (self.k_squared, self.inverse_k_squared):
             shared.flags.writeable = False
         # quadrature weights: physical cell volume and spectral mode weight
         self.cell_volume = self.spacing ** dim
@@ -162,21 +159,26 @@ class SpectralGrid(object):
             self.dim, self.points_per_axis, self.box_length)
 
 
+def _shape(grid, representation):
+    return grid.spectral_shape if representation == SPECTRAL else grid.shape
+
+
 class VectorField(object):
     """dim-component field with a physical or spectral representation.
 
     Physical data is real float64 of shape (dim, N, ..., N); spectral data
-    is complex128 in unnormalized-DFT layout.  Fields are value-like: the
-    operations in this package return new fields and never mutate inputs.
+    is complex128, the unnormalized DFT in rfftn layout, shape
+    (dim, N, ..., N/2+1).  Fields are value-like: the operations in this
+    package return new fields and never mutate inputs.
     """
 
     def __init__(self, grid, data, representation):
         if representation not in (PHYSICAL, SPECTRAL):
             raise ValueError("unknown representation %r" % (representation,))
         data = np.asarray(data)
-        if data.shape != (grid.dim,) + grid.shape:
-            raise ValueError("data shape %s does not match grid %s"
-                             % (data.shape, grid))
+        if data.shape != (grid.dim,) + _shape(grid, representation):
+            raise ValueError("%s data shape %s does not match grid %s"
+                             % (representation, data.shape, grid))
         if representation == PHYSICAL:
             if np.iscomplexobj(data):
                 raise ValueError("physical representation requires real data")
@@ -190,7 +192,8 @@ class VectorField(object):
     @classmethod
     def zeros(cls, grid, representation=PHYSICAL):
         dtype = np.float64 if representation == PHYSICAL else np.complex128
-        return cls(grid, np.zeros((grid.dim,) + grid.shape, dtype), representation)
+        return cls(grid, np.zeros((grid.dim,) + _shape(grid, representation), dtype),
+                   representation)
 
     @classmethod
     def from_components(cls, grid, components, representation=PHYSICAL):
@@ -253,8 +256,7 @@ def _mirror_columns(full, axes):
 def _pair_planes(spectrum, axes, half):
     """Make the planes m = 0 and m = `half` = N/2 of the last of `axes`
     exactly Hermitian: each is mirrored in turn over the remaining axes, and
-    a point equal to its own mirror is made real.  They lie in the half
-    0 <= m <= N/2, so this works on a half spectrum too."""
+    a point equal to its own mirror is made real."""
     *lead, last = axes
     for m in (0, half):
         index = [slice(None)] * spectrum.ndim
@@ -268,32 +270,27 @@ def _pair_planes(spectrum, axes, half):
 
 
 def half_of(spectrum, axes):
-    """The modes 0 <= m <= N/2 of the last of `axes`, the only ones
-    real_inverse reads, as a view: in transform order, one contiguous block
-    per index of the other axes."""
+    """The modes 0 <= m <= N/2 of the last of `axes` of a full-size
+    spectrum, the only ones real_inverse reads, as a view."""
     index = [slice(None)] * spectrum.ndim
     index[axes[-1]] = slice(0, spectrum.shape[axes[-1]] // 2 + 1)
     return spectrum[tuple(index)]
 
 
 def hermitian_spectrum(half, axes):
-    """The C-ordered full-size spectrum whose modes 0 <= m <= N/2 of the
-    last of `axes` are `half`, bit for bit, and whose other modes are their
-    mirror images conj F(-k).  Both self-paired planes lie in the half and
+    """The full-size spectrum (full_size) whose other modes are the mirror
+    images conj F(-k) of the modes 1 <= m < N/2; both self-paired planes
     are copied as they are."""
-    shape = list(half.shape)
-    shape[axes[-1]] = 2 * (shape[axes[-1]] - 1)
-    full = np.empty(shape, np.complex128)
-    half_of(full, axes)[...] = half
+    full = full_size(half, axes)
     _mirror_columns(full, axes)
     return full
 
 
 def _drop_aliased(spectrum, axes, n):
     """Zero, in place, the modes 3|m| >= n of the 2/3 rule on `axes` of n
-    points: one slab per axis, m = first ... N - first in index order.  On a
-    full spectrum the slab covers both signs; on the modes 0 <= m <= N/2 of
-    the last axis it is cut off at N/2 there."""
+    points: one slab per axis, m = first ... N - first in index order, which
+    covers both signs on the leading axes and is cut off at N/2 on the
+    last."""
     first = _first_aliased_mode(n)
     for axis in axes:
         index = [slice(None)] * spectrum.ndim
@@ -318,42 +315,41 @@ def inverse_buffer(shape, axes, dtype=np.complex128):
     return _in_transform_order(np.zeros, shape, axes, dtype)
 
 
+def full_size(half, axes):
+    """A fresh full-size inverse_buffer whose modes 0 <= m <= N/2 of the
+    last of `axes` hold `half`: the input real_inverse takes."""
+    shape = list(half.shape)
+    shape[axes[-1]] = 2 * shape[axes[-1]] - 2
+    full = inverse_buffer(shape, axes)
+    half_of(full, axes)[...] = half
+    return full
+
+
 def half_buffer(shape, axes):
-    """An unfilled complex buffer, in transform order, for the modes
-    0 <= m <= N/2 of the last of `axes` of a real array of `shape`: what
-    _forward_half fills, every element, and what the time stepper holds."""
+    """An unfilled complex buffer, in transform order, for the spectrum of a
+    real array of `shape` over `axes`: what real_forward fills, every
+    element, and what the time stepper holds."""
     axes = tuple(axes)
     shape = list(shape)
     shape[axes[-1]] = shape[axes[-1]] // 2 + 1
     return _in_transform_order(np.empty, shape, axes)
 
 
-def _forward_half(data, axes, out):
-    """The modes 0 <= m <= N/2 of the last axis of real_forward, into `out`."""
-    np.fft.rfftn(data, axes=axes, out=out)
-    _pair_planes(out, axes, data.shape[axes[-1]] // 2)
-    return out
-
-
 def real_forward(data, axes, out=None, dealias=False):
-    """Unnormalized DFT of real `data` over `axes`, full-size complex output.
+    """Unnormalized DFT of real `data` over `axes`, in rfftn layout.
 
-    rfftn writes the modes 0 <= m <= N/2 of the last axis straight into the
-    output (`out` when given, in any layout, else a C-ordered array); the
-    rest is filled by Hermitian symmetry, so the result is exactly
-    Hermitian.  With `dealias` the 2/3 rule zeroes the half before it is
-    mirrored, which leaves the modes of dealias(real_forward(...)), bit for
-    bit up to the sign of a zero imaginary part past N/2.  A
-    spectrum only ever read on the modes 0 <= m <= N/2 is formed there
-    alone, bit for bit the same, by _forward_half into a half_buffer.
+    rfftn writes the modes 0 <= m <= N/2 of the last axis into `out` (in
+    any layout, bit for bit the same; a C-ordered array when not given),
+    and the self-paired planes m = 0 and m = N/2 are then made exactly
+    Hermitian.  With `dealias` the 2/3 rule zeroes its slabs, which leaves
+    dealias(real_forward(...)) bit for bit.
     """
     axes = tuple(axes)
-    full = np.empty(data.shape, np.complex128) if out is None else out
-    half = _forward_half(data, axes, half_of(full, axes))
+    out = np.fft.rfftn(data, axes=axes, out=out)
+    _pair_planes(out, axes, data.shape[axes[-1]] // 2)
     if dealias:
-        _drop_aliased(half, axes, data.shape[axes[0]])
-    _mirror_columns(full, axes)
-    return full
+        _drop_aliased(out, axes, data.shape[axes[0]])
+    return out
 
 
 def real_inverse(spectrum, axes, out=None):
@@ -376,30 +372,29 @@ def real_inverse(spectrum, axes, out=None):
 def apply_multiplier(field, symbol):
     """A field under the real Fourier multiplier symbol(|k|^2), in its own
     representation: data * symbol(k_squared) for a spectral field.  A physical
-    field comes back bit for bit as to_physical of that product, but its
-    spectrum, which is only inverted, is formed on the modes 0 <= m <= N/2 of
-    the last axis alone, in transform order, and the symbol evaluated there."""
+    field comes back bit for bit as to_physical of that product, its
+    spectrum formed straight into the half of a full-size inverse_buffer."""
     grid = field.grid
     if field.is_spectral:
         return VectorField(grid, field.data * symbol(grid.k_squared), SPECTRAL)
     axes = _spatial_axes(grid)
     full = inverse_buffer(field.data.shape, axes)
-    half = _forward_half(field.data, axes, half_of(full, axes))
-    half *= symbol(grid.half_k_squared)
+    half = real_forward(field.data, axes, out=half_of(full, axes))
+    half *= symbol(grid.k_squared)
     return VectorField(grid, real_inverse(full, axes), PHYSICAL)
 
 
 def transform(field, direction):
     """Forward (physical -> spectral) or inverse DFT of a field."""
+    axes = _spatial_axes(field.grid)
     if direction == FORWARD:
         if field.is_spectral:
             raise ValueError("forward transform needs a physical field")
-        data = real_forward(field.data, _spatial_axes(field.grid))
-        return VectorField(field.grid, data, SPECTRAL)
+        return VectorField(field.grid, real_forward(field.data, axes), SPECTRAL)
     if direction == INVERSE:
         if not field.is_spectral:
             raise ValueError("inverse transform needs a spectral field")
-        data = real_inverse(field.data, _spatial_axes(field.grid))
+        data = real_inverse(full_size(field.data, axes), axes)
         return VectorField(field.grid, data, PHYSICAL)
     raise ValueError("direction must be %r or %r" % (FORWARD, INVERSE))
 
@@ -411,24 +406,28 @@ def to_spectral(field):
 def to_physical(field):
     """Physical form of a field.
 
-    A spectral field must be Hermitian, F(-k) = conj F(k), as every spectrum
-    of a real field is: only the modes 0 <= m <= N/2 of the last axis are
-    read, so an anti-Hermitian part is silently dropped (hermitian_defect
-    measures it).
+    A spectral field is inverted from a full-size copy of its half
+    (full_size), so real_inverse sees the element count of the full
+    spectrum.  Its self-paired planes m = 0 and m = N/2 must be Hermitian,
+    as every spectrum of a real field is: an anti-Hermitian part there is
+    silently dropped (hermitian_defect measures it).
     """
     return transform(field, INVERSE) if field.is_spectral else field
 
 
 def hermitian_defect(field):
-    """Max imaginary part of the complex-to-complex inverse transform.
+    """Max imaginary part of the complex-to-complex inverse transform of
+    the mirrored spectrum (hermitian_spectrum).
 
-    Zero (to roundoff) exactly when the spectral data is Hermitian
-    symmetric, i.e. represents a real field.  It stays a full complex
-    inverse because real_inverse cannot see what it would measure.
+    A half spectrum's one non-Hermitian part is that of its self-paired
+    planes m = 0 and m = N/2, which the mirror copies as they are and
+    irfftn drops; the measure is zero (to roundoff) exactly when there is
+    none, i.e. when the data represents a real field.
     """
     if not field.is_spectral:
         return 0.0
-    back = np.fft.ifftn(field.data, axes=_spatial_axes(field.grid))
+    axes = _spatial_axes(field.grid)
+    back = np.fft.ifftn(hermitian_spectrum(field.data, axes), axes=axes)
     return float(np.max(np.abs(back.imag)))
 
 
@@ -458,8 +457,8 @@ def _scalar_forward(grid, f):
     return real_forward(f, range(grid.dim))
 
 
-def _scalar_inverse(grid, fh, out=None):
-    return real_inverse(fh, range(grid.dim), out=out)
+def _scalar_inverse(grid, fh):
+    return real_inverse(full_size(fh, range(grid.dim)), range(grid.dim))
 
 
 def _partials(grid, fh):

@@ -33,6 +33,12 @@ def dense_lattice(grid):
     return m, k, np.where(np.abs(m) == n // 2, 0.0, k)
 
 
+def rfft_half(array):
+    """The modes 0 <= m <= N/2 of the last axis of a dense full-lattice
+    array: its part in the rfftn layout of every spectrum."""
+    return array[..., :array.shape[-1] // 2 + 1]
+
+
 def dealias_mask(grid):
     """The modes the 2/3 rule keeps, 3|m| < N on every axis, as a dense
     mask built from dense_lattice."""

@@ -89,7 +89,7 @@ def test_01_fractional_symbol_exact_on_single_modes():
     def worst_residual(grid, index):
         out = 0.0
         for beta in (0.25, 0.5, 0.75, 1.0):
-            data = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+            data = VectorField.zeros(grid, SPECTRAL).data
             data[(0,) + index] = 1.0 + 0.5j
             applied = fractional_laplacian(
                 VectorField(grid, data, SPECTRAL), beta)
@@ -101,7 +101,7 @@ def test_01_fractional_symbol_exact_on_single_modes():
 
     (worst2, worst3), elapsed = timed(lambda: (
         max(worst_residual(SpectralGrid(2, 64, TWO_PI), idx)
-            for idx in ((1, 0), (3, 5), (10, 57), (0, 12))),
+            for idx in ((1, 0), (3, 5), (54, 7), (0, 12))),
         worst_residual(SpectralGrid(3, 16, TWO_PI), (2, 3, 4))))
     assert max(worst2, worst3) <= 1e-12
     assert elapsed < 1.0

@@ -12,13 +12,14 @@ from fchsim.checkpoint import (
     CheckpointDimensionError,
     CheckpointError,
     CheckpointMagicError,
+    CheckpointSymmetryError,
     CheckpointTruncationError,
     CheckpointVersionError,
     load_checkpoint,
     save_checkpoint,
 )
 from fchsim.integrate import SolverParams, band_random, prepare_initial_state, run
-from fchsim.spectral import SpectralGrid
+from fchsim.spectral import SpectralGrid, hermitian_spectrum
 
 
 def make_state(grid=None, seed=3):
@@ -111,7 +112,9 @@ class TestRoundTrip:
         header = struct.pack(
             "<4sBII5d", MAGIC, VERSION, grid.dim, grid.points_per_axis,
             grid.box_length, params.nu, params.beta, params.alpha, state.t)
-        assert path.read_bytes() == header + data.astype("<c16").tobytes()
+        # the full spectrum: the state's half and its mirror images
+        full = hermitian_spectrum(data, (1, 2))
+        assert path.read_bytes() == header + full.astype("<c16").tobytes()
 
 
 class TestTypedErrors:
@@ -157,9 +160,49 @@ class TestTypedErrors:
         with pytest.raises(CheckpointDimensionError):
             load_checkpoint(self.corrupt(tmp_path, mutate))
 
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 12)])
+    def test_modes_past_the_half_that_are_not_its_mirror(self, tmp_path, dim, n):
+        # the state keeps only the modes 0 <= m <= N/2 of the last axis, so
+        # a stored mode past N/2 that is not conj F(-k) of its mirror in the
+        # half would be dropped unseen: the reader refuses the file
+        grid = SpectralGrid(dim, n, 2.0 * np.pi)
+        params = SolverParams(nu=0.05, beta=0.75, alpha=0.5, dt=5e-3, t_end=0.1)
+        state = prepare_initial_state(band_random(grid, seed=5, band=(1.0, 4.0)), params)
+        path = tmp_path / "state.chk"
+        save_checkpoint(state, params, str(path))
+        blob = bytearray(path.read_bytes())
+        mode = np.ravel_multi_index((dim - 1,) + (1,) * (dim - 1) + (n - 2,),
+                                    (dim,) + grid.shape)
+        offset = 53 + 16 * mode
+        stored = struct.unpack_from("<d", blob, offset)[0]
+        struct.pack_into("<d", blob, offset, stored + 1e-3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointSymmetryError, match="mirror"):
+            load_checkpoint(str(path))
+
+    def test_full_spectrum_projected_mode_by_mode_loads(self, tmp_path):
+        # a file whose full spectrum was formed mode by mode, not mirrored
+        # (so its zeros past N/2 may carry either sign), loads as its half
+        grid = SpectralGrid(2, 32, 2.0 * np.pi)
+        state, params = make_state(grid)
+        half = state.v.field.data
+        full = np.ascontiguousarray(hermitian_spectrum(half, (1, 2)))
+        parts = full[..., 17:].view(np.float64)
+        zeros = parts == 0.0
+        assert zeros.any()
+        parts[zeros] = -parts[zeros]        # each zero's sign flipped
+        assert full.tobytes() != hermitian_spectrum(half, (1, 2)).tobytes()
+        path = tmp_path / "state.chk"
+        header = struct.pack("<4sBII5d", MAGIC, VERSION, 2, 32, grid.box_length,
+                             params.nu, params.beta, params.alpha, 0.0)
+        path.write_bytes(header + full.astype("<c16").tobytes())
+        loaded, _ = load_checkpoint(str(path))
+        assert loaded.v.field.data.tobytes() == half.tobytes()
+
     def test_errors_share_a_base(self):
         for exc in (CheckpointMagicError, CheckpointVersionError,
-                    CheckpointTruncationError, CheckpointDimensionError):
+                    CheckpointTruncationError, CheckpointDimensionError,
+                    CheckpointSymmetryError):
             assert issubclass(exc, CheckpointError)
 
     def test_magic_constant(self):

@@ -11,11 +11,13 @@ import pytest
 import fchsim
 from fchsim.diagnostics import (
     EnergyRecord, fit_line, fourier_amplitude_bound_check, gradient_norm_sq,
-    linear_decay_curve, record_energy, time_average_decay_check,
+    l2_inner, l2_norm_sq, linear_decay_curve, record_energy,
+    time_average_decay_check,
 )
 from fchsim.fields import ProjectedField
 from fchsim.integrate import SimState, SolverParams, band_random, prepare_initial_state
-from fchsim.spectral import SPECTRAL, SpectralGrid, VectorField, to_spectral
+from fchsim.spectral import (
+    SPECTRAL, SpectralGrid, VectorField, hermitian_spectrum, to_physical, to_spectral)
 
 from conftest import dense_lattice, random_field
 
@@ -90,11 +92,11 @@ def _spectrum(dim, n, data):
     if data == "dealiased":
         params = SolverParams(nu=0.1, beta=0.75, alpha=0.5, dt=0.01, t_end=0.1)
         v0 = band_random(grid, seed=31, band=(1.0, 6.0))
-        full = prepare_initial_state(v0, params).v.field.data
+        spectrum = prepare_initial_state(v0, params).v.field.data
     else:
-        full = to_spectral(random_field(grid, seed=32)).data
-    assert np.any(full[..., n // 2]) == (data == "every-mode")
-    return grid, full
+        spectrum = to_spectral(random_field(grid, seed=32)).data
+    assert np.any(spectrum[..., n // 2]) == (data == "every-mode")
+    return grid, spectrum
 
 
 def _relative(got, expected):
@@ -108,12 +110,14 @@ DATA = pytest.mark.parametrize("data", ["dealiased", "every-mode"])
 @GRIDS
 @DATA
 def test_ledger_is_the_full_parseval_sum(dim, n, data):
-    # record_energy and linear_decay_curve sum the half spectrum, interior
-    # columns counted twice; the oracle sums every mode of the full one
-    grid, full = _spectrum(dim, n, data)
+    # record_energy, linear_decay_curve, gradient_norm_sq and l2_inner sum
+    # the rfftn layout, interior columns counted twice; the oracle sums
+    # every mode of the mirrored full spectrum
+    grid, spectrum = _spectrum(dim, n, data)
     k_squared = np.sum(dense_lattice(grid)[1] ** 2, axis=0)
+    full = hermitian_spectrum(spectrum, tuple(range(1, dim + 1)))
     power = np.sum(np.abs(full) ** 2, axis=0)
-    field = VectorField(grid, full, SPECTRAL)
+    field = VectorField(grid, spectrum, SPECTRAL)
     for alpha in (0.0, 0.3):
         params = SolverParams(nu=0.1, beta=0.75, alpha=alpha, dt=0.01, t_end=1.0)
         symbol = np.where(k_squared > 0, k_squared, 1.0) ** params.beta
@@ -136,6 +140,12 @@ def test_ledger_is_the_full_parseval_sum(dim, n, data):
     for order in (0, 1, 2):
         expected = np.sum(k_squared ** order * power) * grid.mode_weight
         assert _relative(gradient_norm_sq(field, order), expected) <= 1e-14, order
+    assert _relative(l2_norm_sq(field), np.sum(power) * grid.mode_weight) <= 1e-14
+    other = to_spectral(random_field(grid, seed=33))
+    expected = np.sum(full * np.conj(hermitian_spectrum(other.data, range(1, dim + 1)))).real
+    assert _relative(l2_inner(field, other), expected * grid.mode_weight) <= 1e-13
+    assert _relative(l2_inner(field, other),
+                     l2_inner(to_physical(field), to_physical(other))) <= 1e-13
 
 
 def test_fit_line_recovers_a_line_and_matches_least_squares():

@@ -14,8 +14,8 @@ import pytest
 from fchsim import fields
 from fchsim.helmholtz import apply_filter
 from fchsim.spectral import (
-    SpectralGrid, VectorField, curl, dealias, gradient, to_physical,
-    to_spectral,
+    SpectralGrid, VectorField, curl, dealias, gradient, hermitian_spectrum,
+    to_physical, to_spectral,
 )
 from fchsim.fields import (
     ch_nonlinear_term, divergence_defect, leray_project, map_on_worker,
@@ -23,7 +23,7 @@ from fchsim.fields import (
 )
 from fchsim.integrate import band_random
 from fchsim.diagnostics import l2_inner, l2_norm_sq, gradient_norm_sq, mode_power
-from conftest import dealias_mask, random_field, random_divfree
+from conftest import dealias_mask, dense_lattice, random_field, random_divfree, rfft_half
 
 
 def test_leray_divfree_fixed_point(grid64):
@@ -69,18 +69,27 @@ def test_leray_self_adjoint(grid32):
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
 def test_half_projector_is_leray_on_the_half(dim, n):
-    # bit for bit the half of leray_project, from the half alone, in the
-    # half's own (transform-order) layout
+    # leray_project on the rfftn layout, in the spectrum's own (C or
+    # transform-order) layout, is bit for bit the half of the same formula
+    # on the mirrored full spectrum and the dense full lattice
     grid = SpectralGrid(dim, n, 2 * np.pi)
     axes = tuple(range(1, dim + 1))
+    k = dense_lattice(grid)[2]
+    k_squared = np.sum(k ** 2, axis=0)
+    inverse_k_squared = 1.0 / np.where(k_squared == 0, 1.0, k_squared)
     v = to_spectral(random_field(grid, seed=dim + n))
     held = fields.ch_nonlinear_term(to_physical(v), to_physical(v)).data
     for spectrum in (v.data, held):
-        expected = leray_project(VectorField(grid, spectrum, "spectral")).field.data
-        half = spectrum[..., :n // 2 + 1]
-        got = fields.leray_project_half(grid, half)
-        assert got.strides == np.empty_like(half).strides
-        assert got.tobytes() == expected[..., :n // 2 + 1].tobytes()
+        full = hermitian_spectrum(spectrum, axes)
+        kdotv = k[0] * full[0]
+        for i in range(1, dim):
+            kdotv += k[i] * full[i]
+        kdotv *= inverse_k_squared
+        expected = full - k * kdotv
+        expected[(slice(None),) + (0,) * dim] = 0.0
+        got = leray_project(VectorField(grid, spectrum, "spectral")).field.data
+        assert got.strides == np.empty_like(spectrum).strides
+        assert np.ascontiguousarray(got).tobytes() == rfft_half(expected).tobytes()
 
 
 def test_nonlinear_term_zero(grid32):
@@ -134,14 +143,14 @@ def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
     # the worker from THREADED_MIN_POINTS on, all inline and every term in
     # one lane below it or on one CPU, with the same bits
     u, v = _product_pair(dim, n, alpha)
-    on_main = {"_forward_half": [], "_add_terms": []}
+    on_main = {"real_forward": [], "_add_terms": []}
 
     def spy(name):
         original = getattr(fields, name)
 
-        def spied(*args):
+        def spied(*args, **kwargs):
             on_main[name].append(threading.current_thread() is threading.main_thread())
-            return original(*args)
+            return original(*args, **kwargs)
         return spied
 
     def product():
@@ -153,16 +162,17 @@ def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
         monkeypatch.setattr(fields, name, spy(name))
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)  # even on one CPU
     threaded = product()
+    # u's and v's transforms on both threads, the output's on this one
     assert {name: sorted(seen) for name, seen in on_main.items()} == {
-        "_forward_half": [False, True], "_add_terms": [False, True]}
+        "real_forward": [False, True, True], "_add_terms": [False, True]}
     threshold = fields.THREADED_MIN_POINTS
     monkeypatch.setattr(fields, "THREADED_MIN_POINTS", n ** dim + 1)
     assert np.array_equal(threaded, product())
-    assert on_main == {"_forward_half": [True, True], "_add_terms": [True]}
+    assert on_main == {"real_forward": [True] * 3, "_add_terms": [True]}
     monkeypatch.setattr(fields, "THREADED_MIN_POINTS", threshold)
     monkeypatch.setattr(fields, "_cpu_count", lambda: 1)
     assert np.array_equal(threaded, product())
-    assert on_main == {"_forward_half": [True, True], "_add_terms": [True]}
+    assert on_main == {"real_forward": [True] * 3, "_add_terms": [True]}
 
 
 def _lane_workers():
@@ -474,7 +484,7 @@ def test_pairing_is_alias_free_when_three_divides_n(dim, n):
     grid = SpectralGrid(dim, n, 2 * np.pi)
     v = band_random(grid, seed=41, band=(0.0, float(n)))
     power = mode_power(to_spectral(v).data)
-    kept = dealias_mask(grid) & (grid.k_squared > 0)
+    kept = rfft_half(dealias_mask(grid)) & (grid.k_squared > 0)
     assert power[kept].min() > 1e-8 * power.max()
     u = to_physical(apply_filter(v, 0.1))
     pn = leray_project(ch_nonlinear_term(u, v)).field

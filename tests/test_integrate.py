@@ -30,11 +30,11 @@ from fchsim.integrate import (
 )
 from fchsim.spectral import (
     SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol,
-    half_buffer, half_of, hermitian_defect, inverse_buffer, to_physical,
-    to_spectral,
+    half_buffer, half_of, hermitian_defect, hermitian_spectrum, inverse_buffer,
+    to_physical, to_spectral,
 )
 
-from conftest import dense_lattice, random_divfree, random_field
+from conftest import dense_lattice, random_divfree, random_field, rfft_half
 
 
 def make_params(**kw):
@@ -43,17 +43,17 @@ def make_params(**kw):
     return SolverParams(**base)
 
 
-def held(full):
-    """The state run steps: the modes 0 <= m <= N/2 of the last axis of a
-    full spectrum, copied into a compact transform-order half_buffer."""
-    axes = tuple(range(1, full.ndim))
-    vhat = half_buffer(full.shape, axes)
-    vhat[...] = half_of(full, axes)
+def held(spectrum):
+    """The state run steps: a C-ordered spectrum copied into a compact
+    transform-order half_buffer."""
+    axes = tuple(range(1, spectrum.ndim))
+    vhat = half_buffer(spectrum.shape[:-1] + (2 * spectrum.shape[-1] - 2,), axes)
+    vhat[...] = spectrum
     return vhat
 
 
 def stepper(grid, params):
-    """One step of length params.dt, as run takes it, from and to a full
+    """One step of length params.dt, as run takes it, from and to a
     C-ordered state."""
     factors = _integrating_factors(grid, params, params.dt)
     rhs = _rhs_filtered(grid, params.alpha, params.dealias)
@@ -485,23 +485,23 @@ def test_each_stage_argument_is_freed_before_its_product(monkeypatch, alpha):
 def test_step_memory_peak_in_half_states(dim, n, alpha, bound):
     grid = SpectralGrid(dim, n, 2 * np.pi)
     params = make_params(alpha=alpha, dt=0.01)
-    full = prepare_initial_state(band_random(grid, seed=19, band=(1.0, 6.0)),
-                                 params).v.field.data
+    spectrum = prepare_initial_state(band_random(grid, seed=19, band=(1.0, 6.0)),
+                                     params).v.field.data
     factors = _integrating_factors(grid, params, params.dt)
     rhs = _rhs_filtered(grid, alpha, True)
-    _advance(held(full), params.dt, factors, rhs)     # warm the FFT caches
+    _advance(held(spectrum), params.dt, factors, rhs)     # warm the FFT caches
     tracemalloc.start()
     try:
-        _advance(held(full), params.dt, factors, rhs)
+        _advance(held(spectrum), params.dt, factors, rhs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / held(full).nbytes <= bound
+    assert peak / spectrum.nbytes <= bound
 
 
 def _full_spectrum_trajectory(v0, params, steps):
-    """The states of the full-spectrum IF-RK4 at each step: the right-hand
-    side -P N(u, v) of the whole product, on and back to full spectra."""
+    """The states of the one-line IF-RK4 at each step: the right-hand side
+    -P N(u, v) of the public operators, one field in and one out."""
     grid = v0.grid
     alpha = params.alpha
 
@@ -524,8 +524,8 @@ def _full_spectrum_trajectory(v0, params, steps):
     (2, 32, 0.5, 0.035, 2), (3, 16, 0.0, 0.03, 1), (2, 256, 0.1, 0.01, 1),
 ], ids=["2d-alpha-closing-step", "3d-alpha0", "2d-256-two-lanes"])
 def test_run_matches_the_full_spectrum_stepper(dim, n, alpha, t_end, stride):
-    # the held half-spectrum state, sampled and at the end, equals the
-    # full-spectrum step at every mode (up to the sign of a zero)
+    # the held compact state of the low-storage step, sampled and at the
+    # end, equals the one-line step of the public operators at every mode
     grid = SpectralGrid(dim, n, 2 * np.pi)
     params = make_params(nu=0.02, alpha=alpha, dt=0.01, t_end=t_end)
     v0 = band_random(grid, seed=24, band=(1.0, 6.0))
@@ -548,20 +548,22 @@ def test_run_matches_the_full_spectrum_stepper(dim, n, alpha, t_end, stride):
 @pytest.mark.parametrize("data", ["band-random", "every-mode"])
 def test_blow_up_energy_is_the_full_parseval_sum(dim, n, data):
     # the per-step E, a half sum with the interior columns counted twice,
-    # against a dense sum over every mode built here; "band-random" is
-    # dealiased, "every-mode" fills both self-paired planes too
+    # against a dense sum over every mode of the mirrored spectrum built
+    # here; "band-random" is dealiased, "every-mode" fills both self-paired
+    # planes too
     grid = SpectralGrid(dim, n, 2 * np.pi)
     if data == "band-random":
-        full = prepare_initial_state(band_random(grid, seed=25, band=(1.0, 6.0)),
-                                     make_params()).v.field.data
+        spectrum = prepare_initial_state(band_random(grid, seed=25, band=(1.0, 6.0)),
+                                         make_params()).v.field.data
     else:
-        full = to_spectral(random_field(grid, seed=26)).data
-    assert np.any(full[..., n // 2]) == (data == "every-mode")
+        spectrum = to_spectral(random_field(grid, seed=26)).data
+    assert np.any(spectrum[..., n // 2]) == (data == "every-mode")
     k_squared = np.sum(dense_lattice(grid)[1] ** 2, axis=0)
+    full = hermitian_spectrum(spectrum, tuple(range(1, dim + 1)))
     power = np.sum(np.abs(full) ** 2, axis=0)
     for alpha in (0.0, 0.3):
         expected = np.sum(power / (1.0 + alpha ** 2 * k_squared)) * grid.mode_weight
-        got = integrate._blow_up_energy(grid, alpha)(held(full))
+        got = integrate._blow_up_energy(grid, alpha)(held(spectrum))
         assert abs(got - expected) <= 1e-14 * expected, alpha
 
 
@@ -615,7 +617,7 @@ def test_scaled_family_identities():
 
 def test_band_random_properties(grid32):
     v = band_random(grid32, seed=3, band=(2.0, 5.0), amplitude=0.9)
-    fh = np.fft.fftn(v.data, axes=(1, 2))
+    fh = rfft_half(np.fft.fftn(v.data, axes=(1, 2)))
     mag = np.sqrt(sum(m**2 for m in grid32.mode_numbers))
     outside = (mag < 2.0) | (mag > 5.0)
     assert np.max(np.abs(fh[:, outside])) <= 1e-9 * np.max(np.abs(fh))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fchsim
-from fchsim.fields import divergence_defect
+from fchsim.checkpoint import load_checkpoint, save_checkpoint
+from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
+from fchsim.integrate import SolverParams, band_random, prepare_initial_state, run
 from fchsim.helmholtz import filter_identity_residual
 from fchsim.spectral import (
     SpectralGrid, VectorField,
@@ -17,10 +19,9 @@ from fchsim.spectral import (
     gradient, divergence, curl, laplacian, dealias,
     real_forward, real_inverse, validate_grid,
     half_buffer, inverse_buffer, apply_multiplier,
-    half_of, hermitian_spectrum,
-    _forward_half,
+    full_size, half_of, hermitian_spectrum,
 )
-from conftest import dealias_mask, dense_lattice, random_field
+from conftest import dealias_mask, dense_lattice, random_field, rfft_half
 
 
 def l2sq_physical(grid, data):
@@ -95,7 +96,7 @@ def test_parseval(grid64):
     f = random_field(grid64, seed=3)
     fh = to_spectral(f)
     a = l2sq_physical(grid64, f.data)
-    b = l2sq_spectral(grid64, fh.data)
+    b = l2sq_spectral(grid64, hermitian_spectrum(fh.data, (1, 2)))
     assert abs(a - b) <= 1e-12 * a
 
 
@@ -216,9 +217,9 @@ def test_gradient_of_cosine():
 
 def test_dealias_keeps_resolved_modes(grid32):
     rng = np.random.default_rng(17)
-    raw = rng.standard_normal((2,) + grid32.shape) \
-        + 1j * rng.standard_normal((2,) + grid32.shape)
-    f = VectorField(grid32, raw * dealias_mask(grid32), "spectral")
+    shape = (2,) + grid32.spectral_shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = VectorField(grid32, raw * rfft_half(dealias_mask(grid32)), "spectral")
     g = dealias(f)
     assert np.array_equal(g.data, f.data)
 
@@ -293,7 +294,7 @@ def _mirror(spectrum, axes):
 def test_real_forward_matches_fftn(dim, n, vector):
     shape, axes = _dft_layout(dim, n, vector)
     f = np.random.default_rng(n + dim).standard_normal(shape)
-    expected = np.fft.fftn(f, axes=axes)
+    expected = rfft_half(np.fft.fftn(f, axes=axes))
     got = real_forward(f, axes)
     assert got.shape == expected.shape and got.dtype == np.complex128
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -302,23 +303,31 @@ def test_real_forward_matches_fftn(dim, n, vector):
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_real_forward_is_exactly_hermitian(dim, n, vector):
+    # the self-paired planes m = 0 and m = N/2 are exactly Hermitian, so
+    # the mirrored full spectrum is
     shape, axes = _dft_layout(dim, n, vector)
     f = np.random.default_rng(7 * n + dim).standard_normal(shape)
-    spectrum = real_forward(f, axes)
+    spectrum = hermitian_spectrum(real_forward(f, axes), axes)
     assert np.array_equal(_mirror(spectrum, axes), np.conj(spectrum))
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_real_forward_half_is_the_full_outputs_half(dim, n, vector):
-    # the half spectrum skips the mirror fill but not the exact Hermitian
-    # pairing inside the self-paired planes m = 0 and m = N/2
+    # the rfftn layout, into a transform-order half_buffer and into the half
+    # of a full-size inverse_buffer, bit for bit the C-ordered output
     shape, axes = _dft_layout(dim, n, vector)
     f = np.random.default_rng(5 * n + dim).standard_normal(shape)
-    got = _forward_half(f, axes, half_buffer(shape, axes))
-    assert got.shape == shape[:-1] + (n // 2 + 1,)
+    expected = real_forward(f, axes)
+    assert expected.shape == shape[:-1] + (n // 2 + 1,)
+    assert expected.flags.c_contiguous
+    got = real_forward(f, axes, out=half_buffer(shape, axes))
     assert got.strides[axes[0]] == got.itemsize     # held in transform order
-    assert np.array_equal(got, real_forward(f, axes)[..., :n // 2 + 1])
+    assert _bytes(got) == _bytes(expected)
+    full = inverse_buffer(shape, axes)
+    real_forward(f, axes, out=half_of(full, axes))
+    assert _bytes(half_of(full, axes)) == _bytes(expected)
+    assert not np.any(full[..., n // 2 + 1:])
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
@@ -340,8 +349,8 @@ def test_real_inverse_matches_ifftn(dim, n, vector):
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_real_inverse_does_not_depend_on_the_layout(dim, n, vector):
     shape, axes = _dft_layout(dim, n, vector)
-    spectrum = real_forward(
-        np.random.default_rng(11 * n + dim).standard_normal(shape), axes)
+    half = real_forward(np.random.default_rng(11 * n + dim).standard_normal(shape), axes)
+    spectrum = hermitian_spectrum(half, axes)
     held = inverse_buffer(shape, axes)
     held[...] = spectrum
     # the buffer really holds the spatial axes reversed, first one contiguous
@@ -351,51 +360,51 @@ def test_real_inverse_does_not_depend_on_the_layout(dim, n, vector):
     got = real_inverse(held, axes)
     assert np.array_equal(got, expected)
     assert got.flags.c_contiguous and expected.flags.c_contiguous
+    # the zero-padded half (full_size) reads as the mirrored spectrum
+    assert np.array_equal(real_inverse(full_size(half, axes), axes), expected)
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_held_spectrum_round_trips_bit_for_bit(dim, n, vector):
-    # the stepper's state: the half copied into a compact transform-order
-    # half_buffer, written into the half of a zeroed full-size
-    # inverse_buffer as each stage argument is, inverted as the full
-    # spectrum is, and mirrored back out
+    # the stepper's state: the spectrum copied into a compact transform-order
+    # half_buffer, written into a zeroed full-size buffer (full_size) as
+    # each stage argument is, inverted as the mirrored spectrum is, and
+    # copied back out C-ordered as a sample is
     shape, axes = _dft_layout(dim, n, vector)
     spectrum = real_forward(
         np.random.default_rng(13 * n + dim).standard_normal(shape), axes)
     held = half_buffer(shape, axes)
-    held[...] = half_of(spectrum, axes)
+    held[...] = spectrum
     assert held.shape == shape[:-1] + (n // 2 + 1,)
     memory_order = tuple(range(axes[0])) + axes[::-1]
     assert held.transpose(memory_order).flags.c_contiguous
-    staged = inverse_buffer(shape, axes)
-    half_of(staged, axes)[...] = held
+    staged = full_size(held, axes)
+    assert staged.shape == shape and staged.strides[axes[0]] == staged.itemsize
     assert not np.any(staged[..., n // 2 + 1:])
-    assert np.array_equal(real_inverse(staged, axes), real_inverse(spectrum, axes))
-    back = hermitian_spectrum(held, axes)
-    assert back.flags.c_contiguous
+    assert np.array_equal(real_inverse(staged, axes),
+                          real_inverse(hermitian_spectrum(spectrum, axes), axes))
+    back = np.ascontiguousarray(held)
     assert back.tobytes() == spectrum.tobytes()
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 48), (3, 8), (3, 12)])
 def test_dealiased_forward_is_dealias_of_the_forward(dim, n):
     # dealias zeroes exactly the modes that a dense 2/3-rule mask, built
-    # from np.fft.fftfreq (conftest.dealias_mask), drops, bit for bit;
-    # the same slabs on the half before the mirror fill, into a
-    # transform-order buffer, keep dealias's values, and only zeros past
-    # N/2 may carry the other sign
+    # from np.fft.fftfreq (conftest.dealias_mask), drops, bit for bit; the
+    # same slabs zeroed inside the forward transform, into a transform-order
+    # buffer, keep dealias's bytes
     grid = SpectralGrid(dim, n, 2.0 * np.pi)
     f = random_field(grid, seed=3 * n + dim)
     axes = tuple(range(1, dim + 1))
-    full = to_spectral(f).data
+    spectrum = to_spectral(f).data
     expected = dealias(to_spectral(f)).data
-    assert expected.tobytes() == np.where(dealias_mask(grid), full, 0.0).tobytes()
-    got = real_forward(f.data, axes, out=inverse_buffer(f.data.shape, axes),
+    assert expected.tobytes() == np.where(
+        rfft_half(dealias_mask(grid)), spectrum, 0.0).tobytes()
+    got = real_forward(f.data, axes, out=half_buffer(f.data.shape, axes),
                        dealias=True)
     assert got.strides[1] == got.itemsize
-    assert np.array_equal(got, expected)
-    assert half_of(got, axes).tobytes() == half_of(expected, axes).tobytes()
-    assert np.array_equal(got, np.conj(_mirror(got, axes)))
+    assert _bytes(got) == expected.tobytes()
 
 
 def _bytes(array):
@@ -403,42 +412,41 @@ def _bytes(array):
 
 
 @pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
-def test_grid_holds_lines_and_four_dense_arrays(dim, n):
-    # one line per axis, no (dim, N^n) stack: at most the full and half
-    # |k|^2 and 1/|k|^2, read-only, plus the lines
+def test_grid_holds_lines_and_two_dense_arrays(dim, n):
+    # one line per axis, no (dim, N^n) stack: |k|^2 and 1/|k|^2 on the
+    # rfftn layout, read-only, plus the lines
     grid = SpectralGrid(dim, n, 2.5)
     arrays = [a for value in vars(grid).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    assert max(a.size for a in arrays) < dim * n ** dim
     half = n ** (dim - 1) * (n // 2 + 1)
-    lines = 3 * dim * n
-    assert sum(a.nbytes for a in arrays) <= 8 * (2 * n ** dim + 2 * half + lines)
-    for dense in (grid.k_squared, grid.inverse_k_squared,
-                  grid.half_k_squared, grid.half_inverse_k_squared):
+    assert max(a.size for a in arrays) == half
+    lines = 2 * dim * n
+    assert sum(a.nbytes for a in arrays) <= 8 * (2 * half + lines)
+    for dense in (grid.k_squared, grid.inverse_k_squared):
+        assert dense.shape == grid.spectral_shape
         assert not dense.flags.writeable
 
 
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_half_leray_lattice_is_the_grids(dim, n):
-    # |k|^2 and the Leray weight, full (C order) and half (transform
-    # order), and the half derivative lines, bit for bit the dense oracle's
+    # |k|^2 and the Leray weight on the rfftn layout (transform order), and
+    # the mode number and derivative lines, bit for bit the dense oracle's
     grid = SpectralGrid(dim, n, 2.5)
-    _, k, derivative = dense_lattice(grid)
+    m, k, derivative = dense_lattice(grid)
     half = n // 2 + 1
     k_squared = np.sum(k ** 2, axis=0)
     derivative_squared = np.sum(derivative ** 2, axis=0)
     inverse_k_squared = 1.0 / np.where(derivative_squared == 0, 1.0, derivative_squared)
-    for full, half_grid, oracle in (
-            (grid.k_squared, grid.half_k_squared, k_squared),
-            (grid.inverse_k_squared, grid.half_inverse_k_squared, inverse_k_squared)):
-        assert full.flags.c_contiguous and _bytes(full) == _bytes(oracle)
-        assert half_grid.strides[0] == half_grid.itemsize
-        assert _bytes(half_grid) == _bytes(oracle[..., :half])
-    shape = grid.shape[:-1] + (half,)
-    for i, line in enumerate(grid.half_derivative_wavenumbers):
-        assert line.size == (half if i == dim - 1 else n)
-        assert _bytes(np.broadcast_to(line, shape)) == _bytes(derivative[i][..., :half])
+    for dense, oracle in ((grid.k_squared, k_squared),
+                          (grid.inverse_k_squared, inverse_k_squared)):
+        assert dense.strides[0] == dense.itemsize
+        assert _bytes(dense) == _bytes(rfft_half(oracle))
+    shape = grid.spectral_shape
+    for lines, oracle in ((grid.mode_numbers, m), (grid.derivative_wavenumbers, derivative)):
+        for i, line in enumerate(lines):
+            assert line.size == (half if i == dim - 1 else n)
+            assert _bytes(np.broadcast_to(line, shape)) == _bytes(rfft_half(oracle[i]))
 
 
 @pytest.mark.parametrize("dim, n", DFT_CASES)
@@ -448,10 +456,10 @@ def test_half_derivative_multipliers_are_the_grids(dim, n):
     grid = SpectralGrid(dim, n, 2.5)
     _, _, derivative = dense_lattice(grid)
     axes = tuple(range(1, dim + 1))
-    fh = _forward_half(random_field(grid, seed=n + dim).data, axes,
-                       half_buffer((dim,) + grid.shape, axes))
-    dense = 1j * derivative[..., :n // 2 + 1]
-    for i, line in enumerate(grid.half_derivative_wavenumbers):
+    fh = real_forward(random_field(grid, seed=n + dim).data, axes,
+                      out=half_buffer((dim,) + grid.shape, axes))
+    dense = 1j * rfft_half(derivative)
+    for i, line in enumerate(grid.derivative_wavenumbers):
         ik = 1j * line
         assert ik.size == line.size
         for a in range(dim):
@@ -463,7 +471,7 @@ def test_differential_operators_match_the_dense_lattice(dim, n):
     # gradient, divergence, curl and divergence_defect on the grid's lines,
     # bit for bit the same formulas on the dense (dim, N^n) stack
     grid = SpectralGrid(dim, n, 2.5)
-    k = dense_lattice(grid)[2]
+    k = rfft_half(dense_lattice(grid)[2])
     f = random_field(grid, seed=3 * n + dim)
     fh = to_spectral(f)
     v = fh.data
@@ -476,7 +484,8 @@ def test_differential_operators_match_the_dense_lattice(dim, n):
         to_physical(VectorField(grid, 1j * k * v[0], "spectral")).data)
     dh = np.sum(1j * k * v, axis=0)
     assert _bytes(divergence(fh)) == _bytes(dh)
-    assert _bytes(divergence(f)) == _bytes(real_inverse(dh, range(dim)))
+    assert _bytes(divergence(f)) == _bytes(
+        real_inverse(hermitian_spectrum(dh, range(dim)), range(dim)))
     if dim == 2:
         ch = 1j * (k[0] * v[1] - k[1] * v[0])
         assert _bytes(curl(fh)) == _bytes(ch)
@@ -528,12 +537,75 @@ def test_hermitian_defect_sees_what_the_real_inverse_drops(dim, n):
     grid = SpectralGrid(dim, n, 2.0 * np.pi)
     f = to_spectral(random_field(grid, seed=41))
     assert hermitian_defect(f) <= 1e-15 * np.max(np.abs(f.data))
-    # a mode past N/2 on the last axis, without its conjugate at -k: the
-    # real inverse never reads it, the complex one does
+    # an anti-Hermitian pair in the self-paired plane m = N/2, +1 at the
+    # leading index 1 and -1 at its mirror -1: the real inverse drops it,
+    # the complex one of the mirrored spectrum sees it
     broken = f.copy()
-    broken.data[(0,) + (1,) * (dim - 1) + (n - 1,)] += 1.0
-    assert np.array_equal(to_physical(broken).data, to_physical(f).data)
+    broken.data[(0,) + (1,) * (dim - 1) + (n // 2,)] += 1.0
+    broken.data[(0,) + (n - 1,) * (dim - 1) + (n // 2,)] -= 1.0
+    scale = np.max(np.abs(to_physical(f).data))
+    assert np.max(np.abs(to_physical(broken).data - to_physical(f).data)) <= 1e-15 * scale
     assert hermitian_defect(broken) >= 0.5 / n ** dim
+
+
+def _spectral_outputs(name, grid, tmp_path):
+    """What the producer `name` returns for a random divergence-free field
+    on `grid`, as a list of spectral arrays."""
+    v = band_random(grid, seed=3, band=(1.0, 3.0))
+    params = SolverParams(nu=0.1, beta=0.75, alpha=0.5, dt=0.01, t_end=0.02)
+    if name == "to_spectral":
+        return [to_spectral(v).data]
+    if name == "dealias":
+        return [dealias(to_spectral(v)).data]
+    if name == "leray_project":
+        return [leray_project(v).field.data, leray_project(to_spectral(v)).field.data]
+    if name == "apply_multiplier":
+        return [apply_multiplier(to_spectral(v), np.negative).data]
+    if name == "ch_nonlinear_term":
+        return [ch_nonlinear_term(v, v).data, ch_nonlinear_term(v, v, dealias=False).data]
+    if name == "advection_term":
+        return [advection_term(v).data]
+    if name == "gradient":
+        return [g.data for g in gradient(to_spectral(v))]
+    if name == "curl":
+        ch = curl(to_spectral(v))
+        return [ch if grid.dim == 2 else ch.data]
+    if name == "load_checkpoint":
+        path = str(tmp_path / "state.chk")
+        save_checkpoint(prepare_initial_state(v, params), params, path)
+        return [load_checkpoint(path)[0].v.field.data]
+    observed = []
+    run(v, params, observers=[lambda state: observed.append(state.v.field.data)])
+    return observed
+
+
+@pytest.mark.parametrize("name", [
+    "to_spectral", "dealias", "leray_project", "apply_multiplier",
+    "ch_nonlinear_term", "advection_term", "gradient", "curl",
+    "load_checkpoint", "run"])
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_every_spectral_field_is_in_the_rfftn_layout(name, dim, n, tmp_path):
+    # one spectrum layout: every producer of a spectral field returns the
+    # modes 0 <= m <= N/2 of the last axis, shape (dim, N, ..., N/2+1)
+    grid = SpectralGrid(dim, n, 2.0 * np.pi)
+    outputs = _spectral_outputs(name, grid, tmp_path)
+    assert outputs
+    component = (n,) * (dim - 1) + (n // 2 + 1,)
+    for data in outputs:
+        assert data.dtype == np.complex128
+        assert data.shape == (component if name == "curl" and dim == 2
+                              else (dim,) + component)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_a_full_spectrum_is_not_a_spectral_field(dim, n):
+    grid = SpectralGrid(dim, n, 2.0 * np.pi)
+    full = np.fft.fftn(random_field(grid, seed=4).data, axes=range(1, dim + 1))
+    with pytest.raises(ValueError, match="spectral data shape"):
+        VectorField(grid, full, "spectral")
+    with pytest.raises(ValueError, match="physical data shape"):
+        VectorField(grid, np.zeros((dim,) + grid.spectral_shape), "physical")
+    assert VectorField.zeros(grid, "spectral").data.shape == (dim,) + grid.spectral_shape
 
 
 def _fft_references(source):

@@ -11,6 +11,7 @@ Index convention used throughout: (v.grad(u)^T)_i = sum_j v_j d_i u_j,
 while (u.grad(v))_i = sum_j u_j d_j v_i.
 """
 
+import itertools
 import os
 import threading
 from contextlib import contextmanager
@@ -21,8 +22,7 @@ import numpy as np
 
 from .spectral import (
     SPECTRAL, VectorField, divergence, half_buffer, half_of, inverse_buffer,
-    real_forward, real_inverse, to_spectral, _drop_aliased, _scalar_forward,
-    _scalar_inverse,
+    real_forward, real_inverse, to_spectral, _drop_aliased,
 )
 
 # ch_nonlinear_term claims the worker for v's forward transform and its
@@ -85,24 +85,32 @@ def _jacobian_physical(grid, fh_data):
     out = np.empty((dim, dim) + grid.shape)
     for i in range(dim):
         for j in range(dim):
-            out[i, j] = _scalar_inverse(grid, 1j * k[j] * fh_data[i])
+            out[i, j] = real_inverse(1j * k[j] * fh_data[i], range(dim))
     return out
 
 
 def _lanes(dim, count):
-    """The derivative terms of N(u, v) in `count` lanes, split by output component.
+    """The derivative terms of N(u, v) in rounds of `count` lanes.
 
     Term (a, b, from_v) adds u_b d_b v_a into component a when from_v, else
-    v_a d_b u_a into component b.  Each component keeps the order of the
-    double loop over (a, b), so its sum is the same floating-point sum
-    whichever lane forms it: components {0} | {1} in 2D, {0, 2} | {1} in 3D.
+    v_a d_b u_a into component b.  One lane is one round of every term in
+    the order of the double loop over (a, b).  Two lanes cut each
+    component's terms, in that order, into dim - 1 chunks, and every pair of
+    components meets in one round, each taking its next chunk there: 0 | 1
+    in 2D; 0 | 1, 0 | 2 and 1 | 2 in 3D, 9 terms per lane.  Each component
+    adds its terms in loop order, so its sum is the same floating-point sum
+    whichever lane forms it.
     """
-    lanes = tuple([] for _ in range(count))
-    for a in range(dim):
-        for b in range(dim):
-            for from_v, target in ((True, a), (False, b)):
-                lanes[target % count].append((a, b, from_v))
-    return lanes
+    loop = [(a, b, from_v) for a in range(dim) for b in range(dim)
+            for from_v in (True, False)]
+    if count == 1:
+        return [(loop,)]
+    size = 2 * dim // (dim - 1)
+    own = [[t for t in loop if (t[0] if t[2] else t[1]) == c] for c in range(dim)]
+    chunks = [iter([terms[i:i + size] for i in range(0, 2 * dim, size)])
+              for terms in own]
+    return [(next(chunks[p]), next(chunks[q]))
+            for p, q in itertools.combinations(range(dim), 2)]
 
 
 def _add_terms(job):
@@ -225,9 +233,10 @@ def ch_nonlinear_term(u, v, dealias=True):
     a reused spectral and physical buffer and is folded into the product at
     once, as u_b d_b v_a into component a and v_a d_b u_a into component b.
     On grids of at least THREADED_MIN_POINTS points it claims the worker
-    once and, holding it, runs the forward transforms of u and v, then two
-    lanes of terms by output component (_lanes), on both threads; otherwise
-    every term runs as one lane on this thread.  The bits are the same.
+    once and, holding it, runs the forward transforms of u and v, then each
+    round of two lanes of terms by output component (_lanes), on both
+    threads; otherwise every term runs as one lane on this thread.  Each
+    lane's buffers serve all its rounds.  The bits are the same.
     """
     if u.grid != v.grid:
         raise ValueError("u and v live on different grids")
@@ -245,16 +254,18 @@ def ch_nonlinear_term(u, v, dealias=True):
                  partial(real_forward, v.data, axes, vh))
         ik = [1j * k for k in grid.derivative_wavenumbers]
         out = np.zeros((dim,) + grid.shape)
-        # a lane writes only its own components, through its own buffers
-        lanes = [partial(_add_terms, [
-            uh, vh, u.data, v.data, ik, terms, out,
-            inverse_buffer(grid.shape, range(dim)), np.empty(grid.shape)])
-            for terms in _lanes(dim, 1 if worker is None else 2)]
-        del uh, vh, ik
-        if worker is None:
-            lanes[0]()
-        else:
-            _on_both(worker, *lanes)
+        # a lane writes only its own components, through its own buffers;
+        # full-size: the benchmark pins the FFT elements of these inverses
+        buffers = [(inverse_buffer(grid.shape, range(dim)), np.empty(grid.shape))
+                   for _ in range(1 if worker is None else 2)]
+        for terms in _lanes(dim, len(buffers)):
+            lanes = [partial(_add_terms, [uh, vh, u.data, v.data, ik, t, out, *b])
+                     for t, b in zip(terms, buffers)]
+            if worker is None:
+                lanes[0]()
+            else:
+                _on_both(worker, *lanes)
+        del uh, vh, ik, buffers, lanes
     nh = real_forward(out, axes, dealias=dealias, out=half_buffer(out.shape, axes))
     return VectorField(grid, nh, SPECTRAL)
 
@@ -287,19 +298,18 @@ def symmetrized_identity_check(u, v):
     dim = grid.dim
     axes, n = range(dim), grid.points_per_axis
     s = np.sum(u.data * v.data, axis=0)
-    sh = _scalar_forward(grid, s)
+    sh = real_forward(s, axes)
     k = grid.derivative_wavenumbers
     du = _jacobian_physical(grid, to_spectral(u).data)
     dv = _jacobian_physical(grid, to_spectral(v).data)
     worst_num = 0.0
     worst_den = 0.0
     for i in range(dim):
-        lhs = _scalar_inverse(grid, _drop_aliased(1j * k[i] * sh, axes, n))
+        lhs = real_inverse(_drop_aliased(1j * k[i] * sh, axes, n), axes)
         rhs = np.zeros(grid.shape)
         for j in range(dim):
             rhs += u.data[j] * dv[j, i] + v.data[j] * du[j, i]
-        rhs = _scalar_inverse(
-            grid, _drop_aliased(_scalar_forward(grid, rhs), axes, n))
+        rhs = real_inverse(_drop_aliased(real_forward(rhs, axes), axes, n), axes)
         worst_num = max(worst_num, float(np.max(np.abs(lhs - rhs))))
         worst_den = max(worst_den, float(np.max(np.abs(lhs))),
                         float(np.max(np.abs(rhs))))

@@ -151,15 +151,17 @@ def _integrating_factors(grid, params, dt):
 
 
 def _rhs_filtered(grid, alpha, use_dealias):
-    """-P N(u, v) of a full-size spectrum (spectral.full_size) handed over
-    in a one-item list: rhs empties it and drops the spectrum once
-    real_inverse has inverted it, so the filter and the product reuse its
+    """-P N(u, v) of a half spectrum handed over in a one-item list: rhs
+    empties it and drops its own full-size copy (spectral.full_size) once
+    real_inverse has inverted it, so the filter and the product reuse that
     memory.  Returns a compact spectrum in transform order, the product's
     layout, projected by leray_project."""
     axes = _spatial_axes(grid)
 
     def rhs(handed):
-        v = VectorField(grid, real_inverse(handed.pop(), axes), PHYSICAL)
+        # full-size: the benchmark pins the FFT elements of the state inverse
+        v = VectorField(grid, real_inverse(full_size(handed.pop(), axes), axes),
+                        PHYSICAL)
         u = v if alpha == 0.0 else to_physical(apply_filter(v, alpha))
         nl = ch_nonlinear_term(u, v, dealias=use_dealias)
         out = leray_project(nl).field.data
@@ -180,22 +182,20 @@ def _ifrk4(vhat, h, phi, phi_half, rhs):
         n4 = rhs(phi v + h P n3)
         phi v + h/6 (phi n1 + 2 P (n2 + n3) + n4),    P = phi_half,
 
-    on a spectrum in rfftn layout: vhat and the new state are compact
-    (half_buffer layout).  Each stage argument is copied into a fresh
-    full-size buffer (spectral.full_size), which rhs is handed and frees;
-    the new state is formed in n4's buffer.  Besides vhat the step holds the
-    accumulator phi n1 (+ ...) and at most one stage result while rhs runs,
-    all of the state's size.
+    on a spectrum in rfftn layout: vhat, each stage argument and the new
+    state are compact (half_buffer layout).  Each stage argument goes in a
+    one-item list that rhs empties, so all but the first (vhat) are freed
+    once rhs has padded them; the new state is formed in n4's buffer.
+    Besides vhat the step holds the accumulator phi n1 (+ ...) and at most
+    one stage result while rhs runs, all of the state's size.
     """
-    axes = tuple(range(1, vhat.ndim))
-    # each stage argument goes full-size into a one-item list that rhs empties
-    acc = rhs([full_size(vhat, axes)])
-    n2 = rhs([full_size(phi_half * (vhat + (0.5 * h) * acc), axes)])
+    acc = rhs([vhat])
+    n2 = rhs([phi_half * (vhat + (0.5 * h) * acc)])
     np.multiply(phi, acc, out=acc)                  # phi n1
-    n3 = rhs([full_size(phi_half * vhat + (0.5 * h) * n2, axes)])
+    n3 = rhs([phi_half * vhat + (0.5 * h) * n2])
     np.add(n2, n3, out=n2)                          # n2 + n3
     np.multiply(h * phi_half, n3, out=n3)
-    staged = [full_size(phi * vhat + n3, axes)]
+    staged = [phi * vhat + n3]
     del n3
     n4 = rhs(staged)
     np.multiply(2.0 * phi_half, n2, out=n2)

@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 
 from .diagnostics import _parseval_sum, fit_line, mode_power
 from .fields import leray_project
-from .spectral import SPECTRAL, VectorField, full_size, to_spectral
+from .spectral import SPECTRAL, VectorField, to_spectral
 
 
 class AccuracyError(RuntimeError):
@@ -451,12 +451,7 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
         raise ValueError(f"need at least 3 quadrature nodes, got {nodes}")
     state = prepare_initial_state(initial, params)
     grid = state.grid
-    stepper_rhs = _rhs_filtered(grid, params.alpha, params.dealias)
-    axes = tuple(range(1, grid.dim + 1))
-
-    def rhs(vh):
-        return stepper_rhs([full_size(vh, axes)])
-
+    rhs = _rhs_filtered(grid, params.alpha, params.dealias)
     symbol = params.nu * grid.k_squared**params.beta
     times = np.linspace(0.0, t, nodes)
     dt = times[1] - times[0]
@@ -468,7 +463,7 @@ def mild_solution_picard(initial, params, t, nodes=25, tol=1e-12,
 
     iterates = [v0 * decay[j] for j in range(nodes)]
     for _ in range(max_sweeps):
-        forcings = [rhs(vj) for vj in iterates]
+        forcings = [rhs([vj]) for vj in iterates]
         fresh = []
         for j in range(nodes):
             acc = v0 * decay[j]

@@ -11,8 +11,9 @@ Conventions fixed here and relied on everywhere else:
   - one spectrum layout, numpy's rfftn layout: every spectral field and
     state holds the modes 0 <= m <= N/2 of the last axis alone, shape
     (dim, N, ..., N/2+1), its self-paired planes m = 0 and m = N/2 exactly
-    Hermitian (_pair_planes).  Only real_inverse takes a full-size spectrum:
-    a zeroed inverse_buffer around the half (full_size)
+    Hermitian (_pair_planes), and every interface hands the half around.
+    real_inverse also reads a zeroed full-size inverse_buffer around the
+    half (full_size); only the right-hand side's three inverses build one
   - memory layout: a spectrum only inverted (the nonlinear term's
     derivative spectra, a multiplier's spectrum of a physical field, each
     stage argument), the time stepper's state and the nonlinear term's
@@ -317,7 +318,7 @@ def inverse_buffer(shape, axes, dtype=np.complex128):
 
 def full_size(half, axes):
     """A fresh full-size inverse_buffer whose modes 0 <= m <= N/2 of the
-    last of `axes` hold `half`: the input real_inverse takes."""
+    last of `axes` hold `half`, which real_inverse reads as the half."""
     shape = list(half.shape)
     shape[axes[-1]] = 2 * shape[axes[-1]] - 2
     full = inverse_buffer(shape, axes)
@@ -353,20 +354,21 @@ def real_forward(data, axes, out=None, dealias=False):
 
 
 def real_inverse(spectrum, axes, out=None):
-    """Inverse DFT over `axes` of a Hermitian full-size spectrum, real output.
+    """Inverse DFT over the trailing `axes` of a Hermitian spectrum, the
+    rfftn half or a full-size one (full_size), real output.
 
-    irfftn reads only the modes 0 <= m <= N/2 of the last axis and takes
-    the rest to be their mirror, so any anti-Hermitian part is dropped.
-    The spectrum may be held in any layout, transform order being the
-    fastest; the result is C-ordered whatever the layout, bit for bit the
-    same.
+    N is read from the first of `axes`, as every grid is a cube.  irfftn
+    reads only the modes 0 <= m <= N/2 of the last axis and takes the rest
+    to be their mirror, so any anti-Hermitian part is dropped.  The spectrum
+    may be held in any layout, transform order being the fastest; the result
+    is C-ordered whatever the layout, bit for bit the same.
     """
     axes = tuple(axes)
+    s = (spectrum.shape[axes[0]],) * len(axes)
     if out is None and not spectrum.flags.c_contiguous:
         # irfftn would return its result in the spectrum's memory order
-        out = np.empty(spectrum.shape, np.float64)
-    return np.fft.irfftn(spectrum, s=[spectrum.shape[a] for a in axes],
-                         axes=axes, out=out)
+        out = np.empty(spectrum.shape[:axes[0]] + s, np.float64)
+    return np.fft.irfftn(spectrum, s=s, axes=axes, out=out)
 
 
 def apply_multiplier(field, symbol):
@@ -378,6 +380,7 @@ def apply_multiplier(field, symbol):
     if field.is_spectral:
         return VectorField(grid, field.data * symbol(grid.k_squared), SPECTRAL)
     axes = _spatial_axes(grid)
+    # full-size: the benchmark pins the FFT elements of the filter's inverse
     full = inverse_buffer(field.data.shape, axes)
     half = real_forward(field.data, axes, out=half_of(full, axes))
     half *= symbol(grid.k_squared)
@@ -394,8 +397,7 @@ def transform(field, direction):
     if direction == INVERSE:
         if not field.is_spectral:
             raise ValueError("inverse transform needs a spectral field")
-        data = real_inverse(full_size(field.data, axes), axes)
-        return VectorField(field.grid, data, PHYSICAL)
+        return VectorField(field.grid, real_inverse(field.data, axes), PHYSICAL)
     raise ValueError("direction must be %r or %r" % (FORWARD, INVERSE))
 
 
@@ -406,11 +408,10 @@ def to_spectral(field):
 def to_physical(field):
     """Physical form of a field.
 
-    A spectral field is inverted from a full-size copy of its half
-    (full_size), so real_inverse sees the element count of the full
-    spectrum.  Its self-paired planes m = 0 and m = N/2 must be Hermitian,
-    as every spectrum of a real field is: an anti-Hermitian part there is
-    silently dropped (hermitian_defect measures it).
+    A spectral field is inverted from its half as it is held.  Its
+    self-paired planes m = 0 and m = N/2 must be Hermitian, as every
+    spectrum of a real field is: an anti-Hermitian part there is silently
+    dropped (hermitian_defect measures it).
     """
     return transform(field, INVERSE) if field.is_spectral else field
 
@@ -453,14 +454,6 @@ def fractional_laplacian(field, beta):
     return apply_multiplier(field, lambda ksq: fractional_laplacian_symbol(ksq, beta))
 
 
-def _scalar_forward(grid, f):
-    return real_forward(f, range(grid.dim))
-
-
-def _scalar_inverse(grid, fh):
-    return real_inverse(full_size(fh, range(grid.dim)), range(grid.dim))
-
-
 def _partials(grid, fh):
     """The spectra 1j k_j fh of the partial derivatives of one spectral
     component fh, stacked over j."""
@@ -482,7 +475,7 @@ def gradient(field, grid=None):
         return out if field.is_spectral else [to_physical(g) for g in out]
     if grid is None:
         raise ValueError("scalar gradient needs the grid")
-    gh = _partials(grid, _scalar_forward(grid, field))
+    gh = _partials(grid, real_forward(field, range(grid.dim)))
     return to_physical(VectorField(grid, gh, SPECTRAL))
 
 
@@ -491,7 +484,7 @@ def divergence(field):
     1j k_i fh_i are added to 0 in component order, as np.sum adds them."""
     fh = to_spectral(field)
     dh = sum(1j * k * f for k, f in zip(field.grid.derivative_wavenumbers, fh.data))
-    return dh if field.is_spectral else _scalar_inverse(field.grid, dh)
+    return dh if field.is_spectral else real_inverse(dh, range(field.grid.dim))
 
 
 def laplacian(field, grid=None):
@@ -500,7 +493,8 @@ def laplacian(field, grid=None):
         return apply_multiplier(field, np.negative)
     if grid is None:
         raise ValueError("scalar laplacian needs the grid")
-    return _scalar_inverse(grid, -grid.k_squared * _scalar_forward(grid, field))
+    axes = range(grid.dim)
+    return real_inverse(-grid.k_squared * real_forward(field, axes), axes)
 
 
 def curl(field):
@@ -509,7 +503,7 @@ def curl(field):
     k = field.grid.derivative_wavenumbers
     if field.grid.dim == 2:
         ch = 1j * (k[0] * fh.data[1] - k[1] * fh.data[0])
-        return ch if field.is_spectral else _scalar_inverse(field.grid, ch)
+        return ch if field.is_spectral else real_inverse(ch, (0, 1))
     ch = np.stack([
         1j * (k[1] * fh.data[2] - k[2] * fh.data[1]),
         1j * (k[2] * fh.data[0] - k[0] * fh.data[2]),

@@ -140,9 +140,11 @@ def _product_pair(dim, n, alpha):
 @pytest.mark.parametrize("dim, n, alpha", [(2, 256, 0.1), (3, 48, 0.0)])
 def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
     # the product's forward transforms and its lanes: one of each pair on
-    # the worker from THREADED_MIN_POINTS on, all inline and every term in
-    # one lane below it or on one CPU, with the same bits
+    # the worker from THREADED_MIN_POINTS on, in one round per pair of
+    # components (one in 2D, three in 3D), all inline and every term in one
+    # lane below it or on one CPU, with the same bits
     u, v = _product_pair(dim, n, alpha)
+    rounds = dim * (dim - 1) // 2
     on_main = {"real_forward": [], "_add_terms": []}
 
     def spy(name):
@@ -164,7 +166,8 @@ def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
     threaded = product()
     # u's and v's transforms on both threads, the output's on this one
     assert {name: sorted(seen) for name, seen in on_main.items()} == {
-        "real_forward": [False, True, True], "_add_terms": [False, True]}
+        "real_forward": [False, True, True],
+        "_add_terms": [False] * rounds + [True] * rounds}
     threshold = fields.THREADED_MIN_POINTS
     monkeypatch.setattr(fields, "THREADED_MIN_POINTS", n ** dim + 1)
     assert np.array_equal(threaded, product())
@@ -173,6 +176,31 @@ def test_two_lanes_match_one_thread_bitwise(monkeypatch, dim, n, alpha):
     monkeypatch.setattr(fields, "_cpu_count", lambda: 1)
     assert np.array_equal(threaded, product())
     assert on_main == {"real_forward": [True] * 3, "_add_terms": [True]}
+
+
+@pytest.mark.parametrize("dim, count, sizes", [
+    (2, 1, [(8,)]), (2, 2, [(4, 4)]), (3, 1, [(18,)]),
+    (3, 2, [(3, 3)] * 3)])
+def test_lanes_keep_each_component_in_loop_order(dim, count, sizes):
+    # every term once; a round's lanes write disjoint components; each
+    # component meets its terms in the order of the double loop over (a, b),
+    # so its floating-point sum is the same whatever the split
+    loop = [(a, b, from_v) for a in range(dim) for b in range(dim)
+            for from_v in (True, False)]
+
+    def target(term):
+        return term[0] if term[2] else term[1]
+
+    rounds = fields._lanes(dim, count)
+    assert [tuple(map(len, lanes)) for lanes in rounds] == sizes
+    for lanes in rounds:
+        owned = [{target(t) for t in terms} for terms in lanes]
+        assert sum(map(len, owned)) == len(set().union(*owned))
+    flat = [t for lanes in rounds for terms in lanes for t in terms]
+    assert sorted(flat) == sorted(loop)
+    for c in range(dim):
+        assert [t for t in flat if target(t) == c] == \
+            [t for t in loop if target(t) == c]
 
 
 def _lane_workers():

@@ -30,8 +30,8 @@ from fchsim.integrate import (
 )
 from fchsim.spectral import (
     SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol,
-    half_buffer, half_of, hermitian_defect, hermitian_spectrum, inverse_buffer,
-    to_physical, to_spectral,
+    full_size, half_buffer, hermitian_defect, hermitian_spectrum, to_physical,
+    to_spectral,
 )
 
 from conftest import dense_lattice, random_divfree, random_field, rfft_half
@@ -75,14 +75,15 @@ def _compact_transform_ordered(array):
 
 
 def test_transform_order_stays_inside_the_fft_layer(monkeypatch):
-    # Spectra that are only inverted (every full-size stage argument), the
-    # product's output, the stage results and the compact state the stepper
-    # holds are held with their axes reversed in memory; every physical
-    # array the step multiplies, the filter's output and every state run
-    # hands out stay C-ordered (a reversed u or v slows the product).
+    # Spectra that are only inverted (every compact stage argument and the
+    # full-size copy rhs pads it into), the product's output, the stage
+    # results and the compact state the stepper holds are held with their
+    # axes reversed in memory; every physical array the step multiplies, the
+    # filter's output and every state run hands out stay C-ordered (a
+    # reversed u or v slows the product).
     grid = SpectralGrid(2, 16, 2.0 * np.pi)
     params = make_params(alpha=0.3, t_end=0.02)
-    seen, staged, results, products, steps = [], [], [], [], []
+    seen, staged, padded, results, products, steps = [], [], [], [], [], []
 
     def spy(u, v, dealias=True):
         seen.append((u.data.flags.c_contiguous, v.data.flags.c_contiguous))
@@ -93,22 +94,29 @@ def test_transform_order_stays_inside_the_fft_layer(monkeypatch):
         rhs = _rhs_filtered(*args)
 
         def traced(handed):
-            staged.append((handed[0].shape, _transform_ordered(handed[0])))
+            staged.append((handed[0].shape, _compact_transform_ordered(handed[0])))
             results.append(rhs(handed))
             return results[-1]
         return traced
+
+    def spied_full_size(half, axes):
+        full = full_size(half, axes)
+        padded.append((full.shape, _transform_ordered(full)))
+        return full
 
     def spied_advance(*args):
         steps.append(_advance(*args))
         return steps[-1]
 
+    monkeypatch.setattr(integrate, "full_size", spied_full_size)
     monkeypatch.setattr(integrate, "ch_nonlinear_term", spy)
     monkeypatch.setattr(integrate, "_rhs_filtered", spied_rhs)
     monkeypatch.setattr(integrate, "_advance", spied_advance)
     states = []
     run(random_divfree(grid, seed=8), params, observers=[states.append])
     assert seen == [(True, True)] * 8
-    assert staged == [((2, 16, 16), True)] * 8
+    assert staged == [((2, 16, 9), True)] * 8
+    assert padded == [((2, 16, 16), True)] * 8
     assert len(steps) == 2 and len(results) == 8
     for half in steps + results:
         assert half.shape == (2, 16, 9) and _compact_transform_ordered(half)
@@ -415,24 +423,16 @@ def _reference_ifrk4(vhat, h, phi, phi_half, rhs):
     (2, 32, 0.5, 0.01), (3, 16, 0.0, 0.01), (2, 32, 0.5, 0.0037),
 ], ids=["2d-alpha", "3d-alpha0", "2d-closing-step"])
 def test_low_storage_step_matches_reference_bitwise(dim, n, alpha, h):
-    # on the compact half spectrum, each stage argument handed to rhs
-    # through a fresh full-size buffer
+    # on the compact half spectrum, each stage argument handed to rhs as it is
     grid = SpectralGrid(dim, n, 2 * np.pi)
-    axes = tuple(range(1, dim + 1))
     params = make_params(alpha=alpha, dt=0.01)
     vhat = held(prepare_initial_state(
         band_random(grid, seed=19, band=(1.0, 6.0)), params).v.field.data)
     before = vhat.copy()
     factors = _integrating_factors(grid, params, h)
     rhs = _rhs_filtered(grid, alpha, True)
-
-    def rhs_of_half(half):
-        buffer = inverse_buffer((dim,) + grid.shape, axes)
-        half_of(buffer, axes)[...] = half
-        return rhs([buffer])
-
     got = _ifrk4(vhat, h, *factors, rhs)
-    expected = _reference_ifrk4(vhat, h, *factors, rhs_of_half)
+    expected = _reference_ifrk4(vhat, h, *factors, lambda half: rhs([half]))
     # the new state is a compact half in the state's own layout
     assert got.shape == (dim,) + (n,) * (dim - 1) + (n // 2 + 1,)
     assert _compact_transform_ordered(got)
@@ -443,28 +443,37 @@ def test_low_storage_step_matches_reference_bitwise(dim, n, alpha, h):
 @pytest.mark.parametrize("alpha", [0.3, 0.0])
 def test_each_stage_argument_is_freed_before_its_product(monkeypatch, alpha):
     # rhs empties the one-item list it is handed and drops the full-size
-    # buffer once it is inverted, so the filter and the product reuse it
-    refs, freed = [], []
+    # copy it pads the argument into once it is inverted, so the filter and
+    # the product reuse that memory.  The first argument is the state
+    # itself, which the step keeps; the other three are freed as well.
+    arguments, copies, freed = [], [], []
+
+    def owner(array):
+        return weakref.ref(array if array.base is None else array.base)
 
     def spied_rhs(*args):
         rhs = _rhs_filtered(*args)
 
         def traced(handed):
-            owner = handed[0] if handed[0].base is None else handed[0].base
-            refs.append(weakref.ref(owner))
-            del owner
+            arguments.append(owner(handed[0]))
             return rhs(handed)
         return traced
 
+    def spied_full_size(half, axes):
+        full = full_size(half, axes)
+        copies.append(owner(full))
+        return full
+
     def spy(u, v, dealias=True):
-        freed.append(refs[-1]() is None)
+        freed.append((arguments[-1]() is None, copies[-1]() is None))
         return ch_nonlinear_term(u, v, dealias=dealias)
 
     monkeypatch.setattr(integrate, "_rhs_filtered", spied_rhs)
+    monkeypatch.setattr(integrate, "full_size", spied_full_size)
     monkeypatch.setattr(integrate, "ch_nonlinear_term", spy)
     grid = SpectralGrid(2, 16, 2.0 * np.pi)
     run(random_divfree(grid, seed=8), make_params(alpha=alpha, t_end=0.02))
-    assert freed == [True] * 8
+    assert freed == [(False, True), (True, True), (True, True), (True, True)] * 2
 
 
 # The peak of what numpy allocates in one step (tracemalloc), its input state

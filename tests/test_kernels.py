@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from fchsim import integrate
 from fchsim.integrate import SolverParams, band_random, run
 from fchsim.kernels import (
     AccuracyError,
@@ -333,6 +334,27 @@ class TestMildSolutionPicard:
             np.sum(np.abs(a - picard.data) ** 2) / np.sum(np.abs(a) ** 2)
         )
         assert rel <= 1e-6
+
+    def test_iterates_go_to_the_right_hand_side_as_halves(self, monkeypatch):
+        # the right-hand side is handed each iterate in rfftn layout and
+        # pads it itself, as the stepper's stage arguments are
+        widths = []
+        rhs_filtered = integrate._rhs_filtered
+
+        def spied(*args):
+            rhs = rhs_filtered(*args)
+
+            def traced(handed):
+                widths.append(handed[0].shape[-1])
+                return rhs(handed)
+            return traced
+
+        monkeypatch.setattr(integrate, "_rhs_filtered", spied)
+        grid = SpectralGrid(2, 16, 2.0 * np.pi)
+        v0 = band_random(grid, seed=4, band=(2.0, 5.0), amplitude=0.5)
+        params = SolverParams(nu=0.1, beta=0.75, alpha=0.5, dt=1e-3, t_end=0.01)
+        mild_solution_picard(v0, params, 0.01, nodes=5)
+        assert widths and set(widths) == {16 // 2 + 1}
 
     def test_zero_datum_stays_zero(self):
         grid = SpectralGrid(2, 16, 2.0 * np.pi)

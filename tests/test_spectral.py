@@ -1,6 +1,7 @@
 import ast
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,17 +361,62 @@ def test_real_inverse_does_not_depend_on_the_layout(dim, n, vector):
     got = real_inverse(held, axes)
     assert np.array_equal(got, expected)
     assert got.flags.c_contiguous and expected.flags.c_contiguous
-    # the zero-padded half (full_size) reads as the mirrored spectrum
+    # the zero-padded half (full_size) reads as the mirrored spectrum, and
+    # so does the bare half, C-ordered or held in transform order
     assert np.array_equal(real_inverse(full_size(half, axes), axes), expected)
+    assert np.array_equal(real_inverse(half, axes), expected)
+    compact = half_buffer(shape, axes)
+    compact[...] = half
+    got = real_inverse(compact, axes)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_inverses_outside_the_right_hand_side_read_the_half(monkeypatch, dim, n):
+    # to_physical, and divergence and curl of a physical field, hand irfftn
+    # the rfftn half itself, never a zero-padded full-size copy
+    widths = []
+    irfftn = np.fft.irfftn
+
+    def spy(a, *args, **kwargs):
+        widths.append(a.shape[-1])
+        return irfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", spy)
+    grid = SpectralGrid(dim, n, 2.0 * np.pi)
+    f = random_field(grid, seed=n + dim)
+    spectral = to_spectral(f)
+    to_physical(spectral)
+    divergence(f)
+    curl(f)
+    assert widths == [n // 2 + 1] * 3
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+def test_to_physical_holds_one_half_size_scratch(dim, n):
+    # the peak beside the input half H: the real output (about H) and one
+    # half-size complex scratch array of irfftn (H); a zero-padded full-size
+    # copy and irfftn's full-size scratch read 4.9 H in 2D and 6.2 H in 3D
+    grid = SpectralGrid(dim, n, 2.0 * np.pi)
+    spectral = to_spectral(random_field(grid, seed=2 * n + dim))
+    to_physical(spectral)                               # warm the FFT caches
+    tracemalloc.start()
+    try:
+        to_physical(spectral)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * spectral.data.nbytes
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 def test_held_spectrum_round_trips_bit_for_bit(dim, n, vector):
     # the stepper's state: the spectrum copied into a compact transform-order
-    # half_buffer, written into a zeroed full-size buffer (full_size) as
-    # each stage argument is, inverted as the mirrored spectrum is, and
-    # copied back out C-ordered as a sample is
+    # half_buffer, written into a zeroed full-size buffer (full_size) as the
+    # right-hand side pads each stage argument, inverted as the mirrored
+    # spectrum is, and copied back out C-ordered as a sample is
     shape, axes = _dft_layout(dim, n, vector)
     spectrum = real_forward(
         np.random.default_rng(13 * n + dim).standard_normal(shape), axes)

@@ -10,8 +10,10 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .integrate import SolverParams
-from .spectral import validate_grid
+from .spectral import helmholtz_symbol, validate_grid
 
 
 class ConfigError(ValueError):
@@ -202,6 +204,8 @@ class ExperimentConfig:
             self._check_family()
         if self.scenario in _INTEGRATING and self.params is None:
             raise ConfigError(f"scenario {self.scenario!r} needs a [solver] section")
+        if self.params is not None:
+            self._check_finite_run()
         if self.scenario == "decay" and self.grid[0] != 2:
             raise ConfigError("decay fits run on two-dimensional grids")
         if self.scenario == "alpha-sweep":
@@ -230,6 +234,17 @@ class ExperimentConfig:
         values = dict(DATUM_DEFAULTS[self.datum_kind])
         values.update((k, v) for k, v in self.datum.items() if k != "kind")
         return values
+
+    def _check_finite_run(self):
+        # an overflow here fails the run, or zeroes its energies and passes
+        dim, points, length = self.grid
+        with np.errstate(all="ignore"):
+            k_max = np.full(1, dim * (np.pi * points / np.float64(length)) ** 2)
+            for alpha in (self.params.alpha, *(self.alphas or ())):
+                if not np.isfinite(helmholtz_symbol(np.float64(alpha), k_max)[0]):
+                    raise ConfigError(f"alpha = {alpha:g} overflows 1 + alpha^2 max|k|^2")
+        if not math.isfinite(self.params.t_end / self.params.dt):
+            raise ConfigError("t_end / dt overflows a float: too many steps")
 
     def _check_family(self):
         if not self.epsilons:

@@ -1,11 +1,11 @@
 """Incompressible vector calculus on spectral grids.
 
 Leray projection onto divergence-free fields, the filtered-advection
-nonlinear term u.grad(v) + v.grad(u)^T and the symmetrization identity
-behind pressure elimination.  The module also owns the process's one worker
-thread.  Its two users, the nonlinear term (for its forward pair and its
-lanes) and map_on_worker (for each pair of items), take it through _claim,
-which never waits: a caller that cannot claim it runs alone on its thread.
+nonlinear term u.grad(v) + v.grad(u)^T and the physical Jacobian of a
+spectral field.  The module also owns the process's one worker thread.  Its
+two users, the nonlinear term (for its forward pair and its lanes) and
+map_on_worker (for each pair of items), take it through _claim, which never
+waits: a caller that cannot claim it runs alone on its thread.
 
 Index convention used throughout: (v.grad(u)^T)_i = sum_j v_j d_i u_j,
 while (u.grad(v))_i = sum_j u_j d_j v_i.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .spectral import (
     SPECTRAL, VectorField, divergence, half_buffer, half_of, inverse_buffer,
-    real_forward, real_inverse, to_spectral, _drop_aliased,
+    real_forward, real_inverse, to_spectral,
 )
 
 # ch_nonlinear_term claims the worker for v's forward transform and its
@@ -284,33 +284,3 @@ def advection_term(v, dealias=True):
             out[i] += v.data[j] * dv[i, j]
     return VectorField(grid, real_forward(out, axes, dealias=dealias), SPECTRAL)
 
-
-def symmetrized_identity_check(u, v):
-    """Relative max-norm residual of grad(sum_i u_i v_i) = u.grad(v)^T + v.grad(u)^T.
-
-    Both sides are compared on the dealiased (2/3-rule) modes, where the
-    quadratic products are alias-free; that is the subspace the dynamics
-    lives on.  Returns 0 for identically zero inputs.
-    """
-    if u.is_spectral or v.is_spectral:
-        raise ValueError("physical representation expected")
-    grid = u.grid
-    dim = grid.dim
-    axes, n = range(dim), grid.points_per_axis
-    s = np.sum(u.data * v.data, axis=0)
-    sh = real_forward(s, axes)
-    k = grid.derivative_wavenumbers
-    du = _jacobian_physical(grid, to_spectral(u).data)
-    dv = _jacobian_physical(grid, to_spectral(v).data)
-    worst_num = 0.0
-    worst_den = 0.0
-    for i in range(dim):
-        lhs = real_inverse(_drop_aliased(1j * k[i] * sh, axes, n), axes)
-        rhs = np.zeros(grid.shape)
-        for j in range(dim):
-            rhs += u.data[j] * dv[j, i] + v.data[j] * du[j, i]
-        rhs = real_inverse(_drop_aliased(real_forward(rhs, axes), axes, n), axes)
-        worst_num = max(worst_num, float(np.max(np.abs(lhs - rhs))))
-        worst_den = max(worst_den, float(np.max(np.abs(lhs))),
-                        float(np.max(np.abs(rhs))))
-    return worst_num / worst_den if worst_den > 0 else 0.0

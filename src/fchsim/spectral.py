@@ -196,11 +196,6 @@ class VectorField(object):
         return cls(grid, np.zeros((grid.dim,) + _shape(grid, representation), dtype),
                    representation)
 
-    @classmethod
-    def from_components(cls, grid, components, representation=PHYSICAL):
-        return cls(grid, np.stack([np.asarray(c) for c in components]),
-                   representation)
-
     @property
     def is_spectral(self):
         return self.representation == SPECTRAL
@@ -276,15 +271,6 @@ def half_of(spectrum, axes):
     index = [slice(None)] * spectrum.ndim
     index[axes[-1]] = slice(0, spectrum.shape[axes[-1]] // 2 + 1)
     return spectrum[tuple(index)]
-
-
-def hermitian_spectrum(half, axes):
-    """The full-size spectrum (full_size) whose other modes are the mirror
-    images conj F(-k) of the modes 1 <= m < N/2; both self-paired planes
-    are copied as they are."""
-    full = full_size(half, axes)
-    _mirror_columns(full, axes)
-    return full
 
 
 def _drop_aliased(spectrum, axes, n):
@@ -410,26 +396,9 @@ def to_physical(field):
 
     A spectral field is inverted from its half as it is held.  Its
     self-paired planes m = 0 and m = N/2 must be Hermitian, as every
-    spectrum of a real field is: an anti-Hermitian part there is silently
-    dropped (hermitian_defect measures it).
+    spectrum of a real field is: an anti-Hermitian part there is dropped.
     """
     return transform(field, INVERSE) if field.is_spectral else field
-
-
-def hermitian_defect(field):
-    """Max imaginary part of the complex-to-complex inverse transform of
-    the mirrored spectrum (hermitian_spectrum).
-
-    A half spectrum's one non-Hermitian part is that of its self-paired
-    planes m = 0 and m = N/2, which the mirror copies as they are and
-    irfftn drops; the measure is zero (to roundoff) exactly when there is
-    none, i.e. when the data represents a real field.
-    """
-    if not field.is_spectral:
-        return 0.0
-    axes = _spatial_axes(field.grid)
-    back = np.fft.ifftn(hermitian_spectrum(field.data, axes), axes=axes)
-    return float(np.max(np.abs(back.imag)))
 
 
 def fractional_laplacian_symbol(k_squared, beta):
@@ -454,47 +423,12 @@ def fractional_laplacian(field, beta):
     return apply_multiplier(field, lambda ksq: fractional_laplacian_symbol(ksq, beta))
 
 
-def _partials(grid, fh):
-    """The spectra 1j k_j fh of the partial derivatives of one spectral
-    component fh, stacked over j."""
-    return np.stack([1j * k * fh for k in grid.derivative_wavenumbers])
-
-
-def gradient(field, grid=None):
-    """Spectral gradient.
-
-    For a scalar array (with grid supplied) returns the gradient as a
-    physical VectorField.  For a VectorField returns a list whose entry i
-    is the gradient of component i, each itself a VectorField, in the
-    input's representation.
-    """
-    if isinstance(field, VectorField):
-        grid, fh = field.grid, to_spectral(field).data
-        out = [VectorField(grid, _partials(grid, fh[i]), SPECTRAL)
-               for i in range(grid.dim)]
-        return out if field.is_spectral else [to_physical(g) for g in out]
-    if grid is None:
-        raise ValueError("scalar gradient needs the grid")
-    gh = _partials(grid, real_forward(field, range(grid.dim)))
-    return to_physical(VectorField(grid, gh, SPECTRAL))
-
-
 def divergence(field):
     """Spectral divergence of a VectorField, as a scalar array; the terms
     1j k_i fh_i are added to 0 in component order, as np.sum adds them."""
     fh = to_spectral(field)
     dh = sum(1j * k * f for k, f in zip(field.grid.derivative_wavenumbers, fh.data))
     return dh if field.is_spectral else real_inverse(dh, range(field.grid.dim))
-
-
-def laplacian(field, grid=None):
-    """Laplacian of a VectorField or of a scalar array (grid required)."""
-    if isinstance(field, VectorField):
-        return apply_multiplier(field, np.negative)
-    if grid is None:
-        raise ValueError("scalar laplacian needs the grid")
-    axes = range(grid.dim)
-    return real_inverse(-grid.k_squared * real_forward(field, axes), axes)
 
 
 def curl(field):

@@ -19,7 +19,8 @@ from fchsim.checkpoint import (
     save_checkpoint,
 )
 from fchsim.integrate import SolverParams, band_random, prepare_initial_state, run
-from fchsim.spectral import SpectralGrid, hermitian_spectrum
+from fchsim.spectral import SpectralGrid
+from oracles import hermitian_spectrum
 
 
 def make_state(grid=None, seed=3):

@@ -209,9 +209,17 @@ class TestExitCodes:
         # inside (n/(3 beta - 1), n/beta) = (0.31, 0.8), but no L^l norm
         ("alpha-sweep", ["solver.beta=2.5", "alpha-sweep.alphas=0.2 0.1 0.05 0.025",
                          "alpha-sweep.l_exponent=0.7"]),
+        # on the 16^2 grid max|k|^2 is about 128: alpha^2, then alpha^2 max|k|^2,
+        # then t_end / dt overflow a float
+        ("simulate", ["solver.alpha=1e200"]),
+        ("simulate", ["solver.alpha=1e154"]),
+        ("simulate", ["solver.t_end=1e300", "solver.dt=1e-10"]),
+        ("alpha-sweep", ["alpha-sweep.alphas=1e200 1e199 1e198",
+                         "alpha-sweep.l_exponent=2"]),
     ], ids=["nan-alpha", "inf-alpha", "nan-l-exponent", "nan-epsilon",
             "nan-width", "inf-amplitude", "kernel-order-3", "kernel-dim-5",
-            "l-exponent-below-one"])
+            "l-exponent-below-one", "overflowing-alpha", "overflowing-filter-symbol",
+            "overflowing-step-count", "overflowing-sweep-widths"])
     def test_non_finite_or_out_of_range_value_exits_two(self, tmp_path, capsys,
                                                         scenario, probe):
         args = [scenario, "--out", str(tmp_path)]

@@ -211,6 +211,37 @@ class TestExperimentConfigValidation:
         assert config.grid[0] == 2
 
 
+ROOT = Path(__file__).resolve().parents[1]
+CH2D = str(ROOT / "bench" / "configs" / "ch2d_512.ini")
+SWEEP = str(ROOT / "configs" / "alpha_sweep_2d.ini")
+
+
+class TestOverflowingRuns:
+    # on a 16^2 grid of side 2 pi, max|k|^2 = 2 * 8^2 = 128: alpha^2 overflows
+    # for alpha = 1e200, alpha^2 max|k|^2 for alpha = 1e154, and t_end / dt for
+    # 1e300 / 1e-10
+    @pytest.mark.parametrize("scenario, path, probe", [
+        ("simulate", CH2D, ["solver.alpha=1e200"]),
+        ("simulate", CH2D, ["solver.alpha=1e154"]),
+        ("simulate", CH2D, ["solver.t_end=1e300", "solver.dt=1e-10"]),
+        ("alpha-sweep", SWEEP, ["alpha-sweep.alphas=1e200 1e199 1e198"]),
+        ("alpha-sweep", SWEEP, ["alpha-sweep.alphas=1e154 0.1 0.05"]),
+    ], ids=["alpha-squared", "alpha-squared-k-squared", "step-count",
+            "sweep-widths", "one-sweep-width"])
+    def test_rejected_at_load(self, scenario, path, probe):
+        with pytest.raises(ConfigError, match="overflows"):
+            load_experiment_config(scenario, path, ["grid.points=16"] + probe)
+
+    @pytest.mark.parametrize("scenario, path, probe", [
+        ("simulate", CH2D, ["solver.alpha=1e153"]),
+        ("simulate", CH2D, ["solver.t_end=1e10", "solver.dt=1e-10"]),
+        ("alpha-sweep", SWEEP, ["alpha-sweep.alphas=1e153 1e152 1e151"]),
+    ], ids=["alpha", "step-count", "sweep-widths"])
+    def test_largest_finite_values_load(self, scenario, path, probe):
+        # 1e306 * 128 and 1e20 steps are finite floats: they load
+        load_experiment_config(scenario, path, ["grid.points=16"] + probe)
+
+
 def _config_error_raises(path):
     """(enclosing function, line) of each `raise ConfigError` in a module."""
     found = []

@@ -17,9 +17,10 @@ from fchsim.diagnostics import (
 from fchsim.fields import ProjectedField
 from fchsim.integrate import SimState, SolverParams, band_random, prepare_initial_state
 from fchsim.spectral import (
-    SPECTRAL, SpectralGrid, VectorField, hermitian_spectrum, to_physical, to_spectral)
+    SPECTRAL, SpectralGrid, VectorField, to_physical, to_spectral)
 
 from conftest import dense_lattice, random_field
+from oracles import hermitian_spectrum
 
 T = np.linspace(0.0, 10.0, 401)
 H = T[1] - T[0]

@@ -3,7 +3,9 @@ import pytest
 
 from fchsim.diagnostics import l2_norm_sq
 from fchsim.helmholtz import apply_filter, filter_convergence_curve, filter_identity_residual
-from fchsim.spectral import SpectralGrid, VectorField, laplacian, to_physical, to_spectral
+from fchsim.spectral import (
+    SpectralGrid, VectorField, apply_multiplier, to_physical, to_spectral,
+)
 
 from conftest import random_field
 
@@ -35,7 +37,7 @@ def test_single_mode_coefficient(grid32):
 def test_substitute_back(grid64):
     v = to_spectral(random_field(grid64, seed=7))
     u = apply_filter(v, 0.35)
-    resid = u.data - 0.35**2 * laplacian(u).data - v.data
+    resid = u.data - 0.35**2 * apply_multiplier(u, np.negative).data - v.data
     assert np.max(np.abs(resid)) / np.max(np.abs(v.data)) <= 1e-12
 
 

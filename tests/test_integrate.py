@@ -30,11 +30,11 @@ from fchsim.integrate import (
 )
 from fchsim.spectral import (
     SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol,
-    full_size, half_buffer, hermitian_defect, hermitian_spectrum, to_physical,
-    to_spectral,
+    full_size, half_buffer, to_physical, to_spectral,
 )
 
 from conftest import dense_lattice, random_divfree, random_field, rfft_half
+from oracles import hermitian_defect, hermitian_spectrum
 
 
 def make_params(**kw):

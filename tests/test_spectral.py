@@ -10,19 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 import fchsim
 from fchsim.checkpoint import load_checkpoint, save_checkpoint
-from fchsim.fields import advection_term, ch_nonlinear_term, divergence_defect, leray_project
+from fchsim.fields import (
+    advection_term, ch_nonlinear_term, divergence_defect, leray_project, _jacobian_physical,
+)
 from fchsim.integrate import SolverParams, band_random, prepare_initial_state, run
 from fchsim.helmholtz import filter_identity_residual
 from fchsim.spectral import (
     SpectralGrid, VectorField,
-    transform, to_spectral, to_physical, hermitian_defect,
+    transform, to_spectral, to_physical,
     fractional_laplacian, fractional_laplacian_symbol, helmholtz_symbol,
-    gradient, divergence, curl, laplacian, dealias,
+    divergence, curl, dealias,
     real_forward, real_inverse, validate_grid,
     half_buffer, inverse_buffer, apply_multiplier,
-    full_size, half_of, hermitian_spectrum,
+    full_size, half_of,
 )
 from conftest import dealias_mask, dense_lattice, random_field, rfft_half
+from oracles import gradient, hermitian_defect, hermitian_spectrum
 
 
 def l2sq_physical(grid, data):
@@ -75,7 +78,7 @@ def test_transform_zero_field(grid32):
 def test_transform_single_mode():
     g = SpectralGrid(2, 16, 2.0 * np.pi)
     x = g.coordinate_mesh()
-    f = VectorField.from_components(g, [np.cos(x[0]), np.zeros(g.shape)])
+    f = VectorField(g, np.stack([np.cos(x[0]), np.zeros(g.shape)]), "physical")
     fh = transform(f, "forward")
     c = fh.data[0]
     # exactly two nonzero coefficients, at m = (+-1, 0), each N^2/2
@@ -130,7 +133,7 @@ def test_fractional_laplacian_constant_annihilated(grid32):
 def test_fractional_laplacian_single_mode_physical():
     g = SpectralGrid(2, 32, 2.0 * np.pi)
     x = g.coordinate_mesh()
-    f = VectorField.from_components(g, [np.sin(3 * x[0]), np.zeros(g.shape)])
+    f = VectorField(g, np.stack([np.sin(3 * x[0]), np.zeros(g.shape)]), "physical")
     out = fractional_laplacian(f, 0.5)
     # |k|^{2 beta} = 3 for |k| = 3, beta = 1/2
     assert np.max(np.abs(out.data[0] - 3 * np.sin(3 * x[0]))) < 1e-10
@@ -155,7 +158,7 @@ def test_fractional_laplacian_beyond_one_applies_the_symbol():
     assert abs(out.data[1][3, 4] - expected) <= 1e-15 * abs(expected)
     assert np.count_nonzero(out.data) == 1
     x = g.coordinate_mesh()
-    wave = VectorField.from_components(g, [np.sin(3 * x[0]), np.zeros(g.shape)])
+    wave = VectorField(g, np.stack([np.sin(3 * x[0]), np.zeros(g.shape)]), "physical")
     assert np.max(np.abs(fractional_laplacian(wave, 1.2).data[0]
                          - 3.0 ** 2.4 * np.sin(3 * x[0]))) < 1e-12
 
@@ -189,12 +192,11 @@ def test_operator_linearity(a, b, seed):
 
 
 def test_div_grad_equals_laplacian(grid32):
+    # divergence of the Jacobian's gradient row against the multiplier -|k|^2;
     # band-limited so the Nyquist derivative convention plays no role
     f = random_field(grid32, seed=11, band=(0, 10))
-    phi = f.data[0]
-    gr = gradient(phi, grid32)
-    lap1 = divergence(gr)
-    lap2 = laplacian(phi, grid32)
+    lap1 = divergence(gradient(f.data[0], grid32))
+    lap2 = apply_multiplier(f, np.negative).data[0]
     scale = np.max(np.abs(lap2)) + 1e-30
     assert np.max(np.abs(lap1 - lap2)) <= 1e-12 * scale
 
@@ -202,18 +204,23 @@ def test_div_grad_equals_laplacian(grid32):
 def test_divergence_of_stream_curl(grid64):
     psi = random_field(grid64, seed=13).data[0]
     gp = gradient(psi, grid64)
-    v = VectorField.from_components(grid64, [-gp.data[1], gp.data[0]])
+    v = VectorField(grid64, np.stack([-gp.data[1], gp.data[0]]), "physical")
     d = divergence(v)
     scale = np.max(np.abs(v.data)) + 1e-30
     assert np.max(np.abs(d)) <= 1e-12 * scale
 
 
 def test_gradient_of_cosine():
+    # the Jacobian d_j f_i of f = (cos 2x, sin 3y): grad cos 2x = (-2 sin 2x, 0)
+    # and grad sin 3y = (0, 3 cos 3y)
     g = SpectralGrid(2, 32, 2.0 * np.pi)
     x = g.coordinate_mesh()
-    gr = gradient(np.cos(2 * x[0]), g)
-    assert np.max(np.abs(gr.data[0] + 2 * np.sin(2 * x[0]))) < 1e-10
-    assert np.max(np.abs(gr.data[1])) < 1e-12
+    f = VectorField(g, np.stack([np.cos(2 * x[0]), np.sin(3 * x[1])]), "physical")
+    jacobian = _jacobian_physical(g, to_spectral(f).data)
+    assert np.max(np.abs(jacobian[0, 0] + 2 * np.sin(2 * x[0]))) < 1e-10
+    assert np.max(np.abs(jacobian[1, 1] - 3 * np.cos(3 * x[1]))) < 1e-10
+    assert np.max(np.abs(jacobian[0, 1])) < 1e-12
+    assert np.max(np.abs(jacobian[1, 0])) < 1e-12
 
 
 def test_dealias_keeps_resolved_modes(grid32):
@@ -514,20 +521,17 @@ def test_half_derivative_multipliers_are_the_grids(dim, n):
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
 def test_differential_operators_match_the_dense_lattice(dim, n):
-    # gradient, divergence, curl and divergence_defect on the grid's lines,
-    # bit for bit the same formulas on the dense (dim, N^n) stack
+    # the Jacobian, divergence, curl and divergence_defect on the grid's
+    # lines, bit for bit the same formulas on the dense (dim, N^n) stack
     grid = SpectralGrid(dim, n, 2.5)
     k = rfft_half(dense_lattice(grid)[2])
     f = random_field(grid, seed=3 * n + dim)
     fh = to_spectral(f)
     v = fh.data
-    assert [_bytes(g.data) for g in gradient(fh)] == \
-        [_bytes(1j * k * v[i]) for i in range(dim)]
-    assert [_bytes(g.data) for g in gradient(f)] == \
-        [_bytes(to_physical(VectorField(grid, 1j * k * v[i], "spectral")).data)
+    jacobian = _jacobian_physical(grid, v)
+    assert [[_bytes(jacobian[i, j]) for j in range(dim)] for i in range(dim)] == \
+        [[_bytes(real_inverse(1j * k[j] * v[i], range(dim))) for j in range(dim)]
          for i in range(dim)]
-    assert _bytes(gradient(f.data[0], grid).data) == _bytes(
-        to_physical(VectorField(grid, 1j * k * v[0], "spectral")).data)
     dh = np.sum(1j * k * v, axis=0)
     assert _bytes(divergence(fh)) == _bytes(dh)
     assert _bytes(divergence(f)) == _bytes(
@@ -564,18 +568,14 @@ def test_apply_multiplier_is_the_spectral_product(dim, n):
 @pytest.mark.parametrize("dim, n", DFT_CASES)
 @pytest.mark.parametrize("operator", [
     lambda f: fractional_laplacian(f, 0.75), lambda f: fractional_laplacian(f, 1.2),
-    laplacian], ids=["beta-0.75", "beta-1.2", "laplacian"])
+    lambda f: apply_multiplier(f, np.negative),
+], ids=["beta-0.75", "beta-1.2", "laplacian"])
 def test_physical_operator_is_the_inverse_of_its_spectral_route(operator, dim, n):
     grid = SpectralGrid(dim, n, 3.0)
     f = random_field(grid, seed=7 * n + dim)
     got = operator(f)
     assert not got.is_spectral
     assert np.array_equal(got.data, to_physical(operator(to_spectral(f))).data)
-
-
-def test_laplacian_is_minus_k_squared_bit_for_bit(grid32):
-    fh = to_spectral(random_field(grid32, seed=17))
-    assert np.array_equal(laplacian(fh).data, -grid32.k_squared * fh.data)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
@@ -611,8 +611,8 @@ def _spectral_outputs(name, grid, tmp_path):
         return [ch_nonlinear_term(v, v).data, ch_nonlinear_term(v, v, dealias=False).data]
     if name == "advection_term":
         return [advection_term(v).data]
-    if name == "gradient":
-        return [g.data for g in gradient(to_spectral(v))]
+    if name == "divergence":
+        return [divergence(to_spectral(v))]
     if name == "curl":
         ch = curl(to_spectral(v))
         return [ch if grid.dim == 2 else ch.data]
@@ -627,20 +627,21 @@ def _spectral_outputs(name, grid, tmp_path):
 
 @pytest.mark.parametrize("name", [
     "to_spectral", "dealias", "leray_project", "apply_multiplier",
-    "ch_nonlinear_term", "advection_term", "gradient", "curl",
+    "ch_nonlinear_term", "advection_term", "divergence", "curl",
     "load_checkpoint", "run"])
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_every_spectral_field_is_in_the_rfftn_layout(name, dim, n, tmp_path):
     # one spectrum layout: every producer of a spectral field returns the
-    # modes 0 <= m <= N/2 of the last axis, shape (dim, N, ..., N/2+1)
+    # modes 0 <= m <= N/2 of the last axis, shape (dim, N, ..., N/2+1), or
+    # (N, ..., N/2+1) for a scalar
     grid = SpectralGrid(dim, n, 2.0 * np.pi)
     outputs = _spectral_outputs(name, grid, tmp_path)
     assert outputs
     component = (n,) * (dim - 1) + (n // 2 + 1,)
     for data in outputs:
         assert data.dtype == np.complex128
-        assert data.shape == (component if name == "curl" and dim == 2
-                              else (dim,) + component)
+        scalar = name == "divergence" or (name == "curl" and dim == 2)
+        assert data.shape == (component if scalar else (dim,) + component)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])

@@ -8,7 +8,9 @@ sweep lists, resolved family members) is enforced here, before any run starts.
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,21 +22,8 @@ class ConfigError(ValueError):
     """Bad configuration file, override, or scenario requirement."""
 
 
-SCENARIOS = (
-    "simulate",
-    "decay",
-    "scaled-family",
-    "alpha-sweep",
-    "filter-check",
-    "kernel-check",
-    "selftest",
-)
-
-# Scenarios that integrate the equations, and so need a [solver] section.
-_INTEGRATING = ("simulate", "decay", "scaled-family", "alpha-sweep")
-
 # The [datum] keys each kind takes, with their defaults: the one table that
-# both the checks below and experiments.make_datum read.
+# the [datum] schema, the checks below and experiments.make_datum read.
 DATUM_DEFAULTS = {
     "stream-bump": {"width": 1.0, "peak_speed": 1.0},
     "scaled-bump": {"width": 1.0, "peak_speed": 1.0, "epsilon": 1.0},
@@ -86,13 +75,9 @@ _SCHEMA = {
     },
     "datum": {
         "kind": str.strip,
-        "width": _finite_float,
-        "peak_speed": _finite_float,
-        "seed": int,
-        "band_lo": _finite_float,
-        "band_hi": _finite_float,
-        "amplitude": _finite_float,
-        "epsilon": _finite_float,
+        **{key: int if isinstance(default, int) else _finite_float
+           for defaults in DATUM_DEFAULTS.values()
+           for key, default in defaults.items()},
     },
     "decay": {
         "fit_t_lo": _finite_float,
@@ -112,6 +97,22 @@ _SCHEMA = {
 }
 
 
+# The keys a section must set whenever it is present.
+_REQUIRED = {"grid": set(_SCHEMA["grid"]), "decay": set(_SCHEMA["decay"]),
+             "solver": {f.name for f in fields(SolverParams) if f.default is MISSING}}
+
+
+def _check_known(section, keys, override=None):
+    """Reject a section or key the schema lacks, naming the override if any."""
+    where = f" in override {override!r}" if override else ""
+    if section not in _SCHEMA:
+        raise ConfigError(f"unknown config section [{section}]{where}")
+    where = where or f" in section [{section}]"
+    for key in keys:
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown key {key!r}{where}")
+
+
 def read_config_file(path):
     """Parse an INI file into {section: {key: string}}, schema-checked."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -122,15 +123,9 @@ def read_config_file(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    raw = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        raw[section] = {}
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            raw[section][key] = value
+    raw = {section: dict(parser.items(section)) for section in parser.sections()}
+    for section, items in raw.items():
+        _check_known(section, items)
     return raw
 
 
@@ -138,16 +133,11 @@ def apply_overrides(raw, overrides):
     """Apply --override section.key=value pairs onto the raw string dict."""
     updated = {section: dict(items) for section, items in raw.items()}
     for entry in overrides or ():
-        if "=" not in entry:
+        dotted, equals, value = entry.partition("=")
+        section, point, key = dotted.partition(".")
+        if not (equals and point):
             raise ConfigError(f"override {entry!r} is not of the form section.key=value")
-        dotted, value = entry.split("=", 1)
-        if "." not in dotted:
-            raise ConfigError(f"override {entry!r} is not of the form section.key=value")
-        section, key = dotted.split(".", 1)
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}] in override {entry!r}")
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in override {entry!r}")
+        _check_known(section, (key,), entry)
         updated.setdefault(section, {})[key] = value
     return updated
 
@@ -157,9 +147,8 @@ def _typed(raw):
     for section, items in raw.items():
         typed[section] = {}
         for key, value in items.items():
-            converter = _SCHEMA[section][key]
             try:
-                typed[section][key] = converter(value)
+                typed[section][key] = _SCHEMA[section][key](value)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {value!r} ({exc})"
@@ -186,7 +175,8 @@ class ExperimentConfig:
     seed: int = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        scenario = SCENARIOS.get(self.scenario)
+        if scenario is None:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.sample_stride < 1:
             raise ConfigError("sample_stride must be a positive integer")
@@ -200,29 +190,16 @@ class ExperimentConfig:
         if foreign:
             raise ConfigError(f"datum keys {sorted(foreign)} are not used by"
                               f" kind {self.datum_kind!r}")
-        if self.scenario == "scaled-family":
-            self._check_family()
-        if self.scenario in _INTEGRATING and self.params is None:
-            raise ConfigError(f"scenario {self.scenario!r} needs a [solver] section")
         if self.params is not None:
             self._check_finite_run()
-        if self.scenario == "decay" and self.grid[0] != 2:
-            raise ConfigError("decay fits run on two-dimensional grids")
-        if self.scenario == "alpha-sweep":
-            self._check_alpha_sweep()
-        if self.scenario == "kernel-check":
-            # imported here so that the solver's import path never loads scipy
-            from .kernels import HeatKernelSpec
-            try:
-                HeatKernelSpec(self.kernel_gamma0, self.kernel_dim)
-            except ValueError as exc:
-                raise ConfigError(f"bad [kernel-check]: {exc}") from exc
+        if scenario.check is not None:
+            scenario.check(self)
+        if scenario.needs_solver and self.params is None:
+            raise ConfigError(f"scenario {self.scenario!r} needs a [solver] section")
 
     @property
     def datum_kind(self):
-        default = {"alpha-sweep": "band-random",
-                   "scaled-family": "scaled-bump"}.get(self.scenario, "stream-bump")
-        return self.datum.get("kind", default)
+        return self.datum.get("kind", SCENARIOS[self.scenario].datum_kind)
 
     @property
     def datum_values(self):
@@ -234,6 +211,15 @@ class ExperimentConfig:
         values = dict(DATUM_DEFAULTS[self.datum_kind])
         values.update((k, v) for k, v in self.datum.items() if k != "kind")
         return values
+
+    def make_output_dir(self):
+        """Create output_dir; a ConfigError when it cannot be made."""
+        try:
+            if self.output_dir:
+                os.makedirs(self.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {self.output_dir!r}:"
+                              f" {exc}") from exc
 
     def _check_finite_run(self):
         # an overflow here fails the run, or zeroes its energies and passes
@@ -283,6 +269,8 @@ class ExperimentConfig:
             raise ConfigError(
                 "alphas must be strictly decreasing with at least 3 positive entries"
             )
+        if self.params is None:
+            return      # reported as a missing [solver] section
         if self.params.alpha != 0.0:
             raise ConfigError("alpha-sweep takes its widths from [alpha-sweep]"
                               " alphas; set [solver] alpha = 0")
@@ -310,6 +298,18 @@ class ExperimentConfig:
         if s <= 2.0:
             raise ConfigError(f"derived exponent s = {s:.4g} must exceed 2")
 
+    def _check_decay(self):
+        if self.grid[0] != 2:
+            raise ConfigError("decay fits run on two-dimensional grids")
+
+    def _check_kernel_spec(self):
+        # imported here so that the solver's import path never loads scipy
+        from .kernels import HeatKernelSpec
+        try:
+            HeatKernelSpec(self.kernel_gamma0, self.kernel_dim)
+        except ValueError as exc:
+            raise ConfigError(f"bad [kernel-check]: {exc}") from exc
+
     @property
     def s_exponent(self):
         # s = l n / (n - l beta) of the convergence statement; sweep only
@@ -326,10 +326,26 @@ class ExperimentConfig:
     @property
     def convergence_gamma(self):
         # Sobolev-embedding loss (n/2)(1/2 - 1/q) entering the rate floor.
-        if self.q_exponent is None:
-            return None
-        n = self.grid[0]
-        return (n / 2.0) * (0.5 - 1.0 / self.q_exponent)
+        q = self.q_exponent
+        return None if q is None else (self.grid[0] / 2.0) * (0.5 - 1.0 / q)
+
+
+class Scenario(NamedTuple):
+    datum_kind: str         # built unless [datum] kind names another
+    needs_solver: bool      # it integrates, so it needs a [solver] section
+    check: Callable = None  # its own load-time check, after the shared ones
+
+
+# Every scenario, in the command line's order, and what each one needs.
+SCENARIOS = {
+    "simulate": Scenario("stream-bump", True),
+    "decay": Scenario("stream-bump", True, ExperimentConfig._check_decay),
+    "scaled-family": Scenario("scaled-bump", True, ExperimentConfig._check_family),
+    "alpha-sweep": Scenario("band-random", True, ExperimentConfig._check_alpha_sweep),
+    "filter-check": Scenario("stream-bump", False),
+    "kernel-check": Scenario("stream-bump", False, ExperimentConfig._check_kernel_spec),
+    "selftest": Scenario("stream-bump", False),
+}
 
 
 def build_config(scenario, raw, out=None, seed=None):
@@ -347,27 +363,21 @@ def build_config(scenario, raw, out=None, seed=None):
         kwargs.update(typed.get(section, {}))
     for key, value in typed.get("kernel-check", {}).items():
         kwargs["kernel_" + key] = value
+    for name, required in _REQUIRED.items():
+        missing = required - set(typed.get(name, required))
+        if missing:
+            raise ConfigError(f"[{name}] missing keys: {sorted(missing)}")
     if "grid" in typed:
-        section = typed["grid"]
-        missing = {"dim", "points", "box_length"} - set(section)
-        if missing:
-            raise ConfigError(f"[grid] missing keys: {sorted(missing)}")
-        kwargs["grid"] = (section["dim"], section["points"], section["box_length"])
+        kwargs["grid"] = tuple(typed["grid"][key] for key in _SCHEMA["grid"])
     if "solver" in typed:
-        section = dict(typed["solver"])
-        missing = {"nu", "beta", "alpha", "dt", "t_end"} - set(section)
-        if missing:
-            raise ConfigError(f"[solver] missing keys: {sorted(missing)}")
         try:
-            kwargs["params"] = SolverParams(**section)
+            kwargs["params"] = SolverParams(**typed["solver"])
         except ValueError as exc:
             raise ConfigError(f"bad solver parameters: {exc}") from exc
     if "datum" in typed:
         kwargs["datum"] = dict(typed["datum"])
     if "decay" in typed:
         section = typed["decay"]
-        if set(section) != {"fit_t_lo", "fit_t_hi"}:
-            raise ConfigError("[decay] needs both fit_t_lo and fit_t_hi")
         if not 0 <= section["fit_t_lo"] < section["fit_t_hi"]:
             raise ConfigError("[decay] fit window must satisfy 0 <= lo < hi")
         kwargs["fit_window"] = (section["fit_t_lo"], section["fit_t_hi"])

@@ -45,7 +45,6 @@ from .integrate import (
     prepare_initial_state,
     run,
     scaled_bump,
-    stream_bump,
 )
 from .spectral import (
     PHYSICAL,
@@ -187,12 +186,14 @@ def _blow_up_report(report, err, out_dir):
 def _scenario(body):
     """Make the runner `run(config) -> report` from `body(config, report)`.
 
-    The one report path: the runner starts the report, lets the body fill
-    it, turns a blow-up anywhere in the body into the report's "blow_up"
-    entry, and finishes and writes the report.  Configuration errors pass
-    through unreported.
+    The one report path: the runner makes the output directory (an
+    unusable one is a configuration error, raised before any work), starts
+    the report, lets the body fill it, turns a blow-up anywhere in the body
+    into the report's "blow_up" entry, and finishes and writes the report.
+    Configuration errors pass through unreported.
     """
     def runner(config):
+        config.make_output_dir()
         report = _new_report(config)
         try:
             body(config, report)
@@ -206,20 +207,18 @@ def _scenario(body):
 
 def make_datum(config, grid, eps=None):
     """Build the configured initial field, the scaled-bump family member
-    `eps` in place of [datum] epsilon when given.  The constructors' value
-    checks surface as configuration errors."""
-    kind, spec = config.datum_kind, config.datum_values
+    `eps` in place of [datum] epsilon when given (a stream bump is eps = 1).
+    The constructors' value checks surface as configuration errors."""
+    spec = config.datum_values
     try:
-        if kind == "band-random":
+        if config.datum_kind == "band-random":
             # the --seed flag (config.seed) wins over [datum] seed
             seed = spec["seed"] if config.seed is None else config.seed
             return band_random(grid, int(seed),
                                band=(spec["band_lo"], spec["band_hi"]),
                                amplitude=spec["amplitude"])
-        if kind == "scaled-bump":
-            member = spec["epsilon"] if eps is None else eps
-            return scaled_bump(grid, member, spec["width"], spec["peak_speed"])
-        return stream_bump(grid, spec["width"], spec["peak_speed"])
+        member = spec.get("epsilon", 1.0) if eps is None else eps
+        return scaled_bump(grid, member, spec["width"], spec["peak_speed"])
     except ValueError as exc:
         raise ConfigError(f"bad [datum]: {exc}") from exc
 
@@ -605,7 +604,19 @@ def _gaussian_multiplier_route(x, beta):
 
 @_scenario
 def run_kernel_check(config, report):
-    """Invariant battery for the kernel quadrature oracle."""
+    """Invariant battery for the kernel quadrature oracle.  A quadrature
+    that misses its tolerance or would exceed its node cap ends the battery
+    as a failed check that names the kernel order."""
+    # imported here so that the solver's import path never loads scipy
+    from .kernels import AccuracyError
+    try:
+        _kernel_battery(config, report)
+    except AccuracyError as exc:
+        _check(report, "kernel quadrature completed", False,
+               f"gamma0 = {config.kernel_gamma0:g}: {exc}")
+
+
+def _kernel_battery(config, report):
     # imported here so that the solver's import path never loads scipy
     from .kernels import (
         HeatKernelSpec,
@@ -726,7 +737,6 @@ def run_selftest(config, report):
            rel <= 1e-6, f"relative L2 difference {rel:.3e}")
 
     state = prepare_initial_state(v0, params)
-    _ensure_dir(out)
     path = os.path.join(out, "selftest.chk")
     save_checkpoint(state, params, path)
     loaded, meta = load_checkpoint(path)

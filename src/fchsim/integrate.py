@@ -8,10 +8,10 @@ the projection removes (grad v)^T v = grad(|v|^2 / 2).  States live in
 spectral space; the k = 0 mode is pinned to zero (mean-free velocities).
 
 Initial-datum families:
-  * stream_bump: 2-d velocity from a Gaussian stream function, div-free
-    in closed form, rapidly decaying (finite L1 mass on the box).
-  * scaled_bump: the same bump under x -> c + eps (x - c) with the
-    L2-invariant amplitude factor eps^(n/2).
+  * scaled_bump: 2-d velocity from a Gaussian stream function, div-free
+    in closed form, rapidly decaying (finite L1 mass on the box), under
+    x -> c + eps (x - c) with the L2-invariant amplitude factor eps^(n/2);
+    eps = 1 is the stream bump itself.
   * band_random: seeded random divergence-free field supported on a
     shell of mode numbers.
 """
@@ -314,35 +314,23 @@ def cfl_timestep(v, safety=0.5):
     return safety * v.grid.spacing / speed
 
 
-def _centered_offsets(grid, center):
-    if center is None:
-        center = (grid.box_length / 2.0,) * grid.dim
-    mesh = grid.coordinate_mesh()
-    L = grid.box_length
-    # minimum-image offsets so the bump periodizes cleanly off-center
-    return [np.mod(mesh[i] - center[i] + L / 2.0, L) - L / 2.0 for i in range(grid.dim)]
-
-
-def stream_bump(grid, width, peak_speed=1.0, center=None):
-    """Divergence-free 2-d bump: curl of a Gaussian stream function.
-
-    width is the Gaussian length scale, peak_speed the maximum of |v|.
-    """
-    return scaled_bump(grid, 1.0, width, peak_speed, center)
-
-
 def scaled_bump(grid, eps, width, peak_speed=1.0, center=None):
     """Member eps of the family v_eps(x) = eps^(n/2) v(c + eps (x - c)).
 
-    eps = 1 is stream_bump itself.  The family keeps the L2 norm fixed
-    while gradients shrink by eps, which is what makes its decay times
-    spread apart.
+    v = v_1 is the stream bump: the divergence-free curl of a Gaussian
+    stream function of length scale width, with max |v| = peak_speed.  The
+    family keeps the L2 norm fixed while gradients shrink by eps, which is
+    what makes its decay times spread apart.
     """
     if grid.dim != 2:
         raise ValueError("stream-function data is two-dimensional")
     if width <= 0 or eps <= 0:
         raise ValueError("width and eps must be positive")
-    dx, dy = _centered_offsets(grid, center)
+    L = grid.box_length
+    center = (L / 2.0,) * grid.dim if center is None else center
+    # minimum-image offsets so the bump periodizes cleanly off-center
+    dx, dy = (np.mod(x - c + L / 2.0, L) - L / 2.0
+              for x, c in zip(grid.coordinate_mesh(), center))
     # psi = A exp(-r^2 / 2 w^2), A chosen so max |v| = peak_speed at eps = 1
     amp = peak_speed * width * np.sqrt(np.e)
     psi = amp * np.exp(-(eps**2) * (dx**2 + dy**2) / (2.0 * width**2))

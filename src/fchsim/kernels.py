@@ -57,21 +57,32 @@ _SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _ANGULAR = {1: 1.0 / np.pi, 2: 1.0 / (2.0 * np.pi), 3: 1.0 / (2.0 * np.pi**2)}
 
 
+# Quadrature nodes one radial profile may use, and products one block of it
+# may form.  A small kernel order pushes the cutoff out like
+# (60 / t)^(1 / gamma0) and the node count with it: 29 888 nodes is the most
+# the test suite uses, 4 880 the shipped kernel-check config, and gamma0 =
+# 0.6 asked for 4.9 million, a 9.3 GiB block of 256 rows.
+_MAX_NODES = 2**20
+_BLOCK_SIZE = 2**20
+
+
 def _cutoff(t, gamma, extra):
     # Solve t*rho^gamma - extra*ln(rho) = 55 by fixed point: beyond this the
-    # damped integrand is below ~1e-24 relative.
-    rho = (60.0 / t) ** (1.0 / gamma)
-    for _ in range(80):
-        target = 55.0 + extra * max(math.log(rho), 0.0)
-        fresh = (target / t) ** (1.0 / gamma)
-        if abs(fresh - rho) <= 1e-12 * rho:
-            break
-        rho = fresh
+    # damped integrand is below ~1e-24 relative.  inf once rho overflows.
+    try:
+        rho = (60.0 / t) ** (1.0 / gamma)
+        for _ in range(80):
+            target = 55.0 + extra * max(math.log(rho), 0.0)
+            fresh = (target / t) ** (1.0 / gamma)
+            if abs(fresh - rho) <= 1e-12 * rho:
+                break
+            rho = fresh
+    except OverflowError:
+        return math.inf
     return rho
 
 
-def _panel_nodes(rho_max, delta, refine):
-    count = max(12, int(np.ceil(rho_max / delta))) * refine
+def _panel_nodes(rho_max, count):
     edges = np.linspace(0.0, rho_max, count + 1)
     # The symbol rho^gamma has a cusp at 0 for non-integer gamma; refine the
     # first panel geometrically toward it.
@@ -92,19 +103,25 @@ def _profile(spec, t, radii, k=0, a=0.0, refine=1):
     radii = np.asarray(radii, dtype=float)
     rho_max = _cutoff(t, gamma, power + a)
     r_peak = max(float(np.max(np.abs(radii))), 1e-12)
-    # At most a quarter oscillation per 16-node panel.
+    # At most a quarter oscillation per 16-node panel, 18 graded panels at 0.
     delta = min(np.pi / (2.0 * r_peak), rho_max / 24.0)
-    rho, wts = _panel_nodes(rho_max, delta, refine)
+    count = max(12.0, np.ceil(rho_max / delta)) * refine
+    if 16 * (count + 18) > _MAX_NODES:
+        raise AccuracyError(
+            f"kernel quadrature needs {16 * (count + 18):.4g} nodes at t = {t:g}"
+            f" out to |x| = {r_peak:g}, over the cap of {_MAX_NODES}")
+    rho, wts = _panel_nodes(rho_max, int(count))
     damp = rho ** (power + a) * np.exp(-t * rho**gamma) * wts
     sign = -1.0 if k == 1 else 1.0
     out = np.empty(radii.shape)
     flat_r = radii.ravel()
     flat_out = out.ravel()
-    for start in range(0, flat_r.size, 256):
-        block = flat_r[start : start + 256]
+    rows = max(1, _BLOCK_SIZE // rho.size)
+    for start in range(0, flat_r.size, rows):
+        block = flat_r[start : start + rows]
         terms = oscillator(np.outer(np.abs(block), rho))
         terms *= damp
-        flat_out[start : start + 256] = np.sum(terms, axis=1)
+        flat_out[start : start + rows] = np.sum(terms, axis=1)
     return sign * _ANGULAR[n] * out
 
 
@@ -221,11 +238,7 @@ def normalization_constant(n, beta):
     """C(n, beta) = 1 / integral of (1 - cos z_1)/|z|^(n+2 beta) over R^n."""
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(
-            f"normalization integral diverges unless 0 < beta < 1, got {beta}"
-        )
+    beta = _fractional_order(beta)
     # After angular reduction the integral is radial with weight 1 - w(rho),
     # where w is cos, J0 or sinc for n = 1, 2, 3.  Below delta the weight's
     # Taylor series integrates in closed form (the integrand is singular but

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fchsim import experiments
 from fchsim.cli import build_parser, main
 from fchsim.config import SCENARIOS
 
@@ -192,6 +193,21 @@ class TestExitCodes:
             args += ["--override", entry]
         assert main(args) == 2
         assert "configuration error: bad [datum]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["simulate", "filter-check"])
+    def test_output_dir_under_a_file_exits_two_before_running(
+            self, tmp_path, capsys, monkeypatch, scenario):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        # simulate used to integrate first and die writing energy.csv
+        monkeypatch.setattr(experiments, "run",
+                            lambda *args, **kw: pytest.fail("the run started"))
+        args = [scenario, "--out", str(blocker / "sub")]
+        for entry in SMALL_RUN:
+            args += ["--override", entry]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot make output directory" in err
 
     @pytest.mark.parametrize("scenario, probe", [
         ("alpha-sweep", ["alpha-sweep.alphas=0.2 nan 0.1 0.05",

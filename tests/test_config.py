@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,9 @@ from fchsim.config import (
     load_experiment_config,
     read_config_file,
 )
+from fchsim.experiments import _config_summary, make_datum
 from fchsim.integrate import SolverParams
+from fchsim.spectral import SpectralGrid
 
 
 GOOD = """
@@ -269,3 +273,25 @@ def test_config_errors_raised_in_config_only():
     assert len(raises.pop("config.py")) >= 10       # the scan sees raises
     assert [fn for fn, _ in raises.pop("experiments.py")] == ["make_datum"]
     assert {name: hits for name, hits in raises.items() if hits} == {}
+
+
+SHIPPED = json.loads((ROOT / "tests" / "shipped_configs.json").read_text())
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED))
+def test_shipped_config_resolves_as_recorded(path):
+    # The report's config block and the bytes of every datum the scenario
+    # builds, recorded for each shipped config (at a small grid where the
+    # config allows one): how the configuration layer declares scenarios and
+    # datum kinds must not move either.
+    recorded = SHIPPED[path]
+    config = load_experiment_config(recorded["scenario"], str(ROOT / path),
+                                    recorded["overrides"])
+    assert json.loads(json.dumps(_config_summary(config))) == recorded["config"]
+    digests = None
+    if config.params is not None:
+        grid = SpectralGrid(*config.grid)
+        members = config.epsilons if config.scenario == "scaled-family" else (None,)
+        digests = [hashlib.sha256(make_datum(config, grid, eps).data.tobytes()).hexdigest()
+                   for eps in members]
+    assert digests == recorded["datum_sha256"]

@@ -26,7 +26,6 @@ from fchsim.integrate import (
     prepare_initial_state,
     run,
     scaled_bump,
-    stream_bump,
 )
 from fchsim.spectral import (
     SPECTRAL, SpectralGrid, VectorField, fractional_laplacian_symbol,
@@ -602,7 +601,7 @@ def test_cfl_helper(grid32):
 def test_stream_bump_closed_form():
     grid = SpectralGrid(2, 128, 50.0)
     w, peak = 2.0, 0.8
-    v = stream_bump(grid, width=w, peak_speed=peak)
+    v = scaled_bump(grid, 1.0, width=w, peak_speed=peak)
     assert divergence_defect(to_spectral(v)) <= 1e-8
     assert abs(np.max(np.sqrt(np.sum(v.data**2, axis=0))) - peak) / peak <= 2e-2
     # ||v||^2 = pi e w^2 peak^2 for the Gaussian-stream bump
@@ -640,8 +639,8 @@ def test_band_random_properties(grid32):
 
 def test_datum_validation(grid32):
     with pytest.raises(ValueError):
-        stream_bump(SpectralGrid(3, 16, 10.0), width=1.0)
+        scaled_bump(SpectralGrid(3, 16, 10.0), 1.0, width=1.0)
     with pytest.raises(ValueError):
         scaled_bump(grid32, 0.0, width=1.0)
     with pytest.raises(ValueError):
-        stream_bump(grid32, width=-1.0)
+        scaled_bump(grid32, 1.0, width=-1.0)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,12 @@ class TestHeatKernel:
         at_t = heat_kernel_values(spec, t, [0.0])[0]
         at_one = heat_kernel_values(spec, 1.0, [0.0])[0]
         assert abs(at_t - t ** (-3.0 / 1.5) * at_one) <= 1e-12 * at_one
+
+    @pytest.mark.parametrize("gamma0", [0.3, 0.005])
+    def test_small_order_refused_before_allocating(self, gamma0):
+        # 9.4e8 nodes at gamma0 = 0.3; at 0.005 the cutoff overflows a float
+        with pytest.raises(AccuracyError, match="over the cap"):
+            heat_kernel_values(HeatKernelSpec(gamma0, 2), 0.5, [0.0, 6.0])
 
     def test_semigroup_fourier_side(self):
         # The semigroup identity lives on the symbol; no quadrature involved.
@@ -391,3 +398,29 @@ def test_kernel_check_report_does_not_depend_on_the_blas_thread_count(tmp_path):
         report.pop("peak_rss_mb")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize("gamma0", ["0.3", "0.6"])
+def test_small_kernel_order_fails_its_report_within_two_gib(tmp_path, gamma0):
+    # gamma0 = 0.6 asked numpy for a 9.3 GiB block and 0.3 for a 7 GiB node
+    # array; under a 2 GiB address-space limit both now end in a report whose
+    # failed check names the kernel order.  Never run these without the limit.
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fchsim.cli", "kernel-check", "--config",
+         str(root / "configs" / "kernel_check.ini"), "--out", str(tmp_path),
+         "--override", f"kernel-check.gamma0={gamma0}"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert (f"[FAIL] kernel quadrature completed  (gamma0 = {gamma0}: "
+            "kernel quadrature needs") in proc.stdout
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is False

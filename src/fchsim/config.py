@@ -190,6 +190,9 @@ class ExperimentConfig:
         if foreign:
             raise ConfigError(f"datum keys {sorted(foreign)} are not used by"
                               f" kind {self.datum_kind!r}")
+        for seed in (self.seed, self.datum.get("seed")):
+            if seed is not None and seed < 0:
+                raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
         if self.params is not None:
             self._check_finite_run()
         if scenario.check is not None:

@@ -166,7 +166,8 @@ def fit_decay(series, window):
 
     Needs at least 10 positive samples in the window.
     """
-    arr = np.asarray([(t, v) for t, v in series], dtype=float)
+    # an empty series is zero samples, not a 1-D array
+    arr = np.asarray([(t, v) for t, v in series], dtype=float).reshape(-1, 2)
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise ValueError("empty fit window")

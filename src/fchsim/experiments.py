@@ -591,15 +591,13 @@ def run_filter_check(config, report):
 
 
 def _gaussian_multiplier_route(x, beta):
-    # multiplier route for exp(-x^2/2) on the line, by direct quadrature
-    # of the cosine-transform integral
+    # multiplier route for exp(-x^2/2) on the line: the cosine transform of
+    # xi^(2 beta) exp(-xi^2/2) is a Kummer function
     # imported here so that the solver's import path never loads scipy
-    from scipy.integrate import quad
+    from scipy import special
 
-    value, _ = quad(
-        lambda xi: xi ** (2.0 * beta) * np.exp(-xi ** 2 / 2.0) * np.cos(x * xi),
-        0.0, 40.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return np.sqrt(2.0 / np.pi) * value
+    return (np.sqrt(2.0 / np.pi) * 2.0 ** (beta - 0.5) * special.gamma(beta + 0.5)
+            * special.hyp1f1(beta + 0.5, 0.5, -x * x / 2.0))
 
 
 @_scenario

@@ -314,7 +314,7 @@ def cfl_timestep(v, safety=0.5):
     return safety * v.grid.spacing / speed
 
 
-def scaled_bump(grid, eps, width, peak_speed=1.0, center=None):
+def scaled_bump(grid, eps, width, peak_speed=1.0):
     """Member eps of the family v_eps(x) = eps^(n/2) v(c + eps (x - c)).
 
     v = v_1 is the stream bump: the divergence-free curl of a Gaussian
@@ -326,11 +326,8 @@ def scaled_bump(grid, eps, width, peak_speed=1.0, center=None):
         raise ValueError("stream-function data is two-dimensional")
     if width <= 0 or eps <= 0:
         raise ValueError("width and eps must be positive")
-    L = grid.box_length
-    center = (L / 2.0,) * grid.dim if center is None else center
-    # minimum-image offsets so the bump periodizes cleanly off-center
-    dx, dy = (np.mod(x - c + L / 2.0, L) - L / 2.0
-              for x, c in zip(grid.coordinate_mesh(), center))
+    # offsets from the box centre c, which lie in [-L/2, L/2)
+    dx, dy = grid.coordinate_mesh() - grid.box_length / 2.0
     # psi = A exp(-r^2 / 2 w^2), A chosen so max |v| = peak_speed at eps = 1
     amp = peak_speed * width * np.sqrt(np.e)
     psi = amp * np.exp(-(eps**2) * (dx**2 + dy**2) / (2.0 * width**2))

@@ -2,11 +2,13 @@
 
 Everything here is deliberately decoupled from the spectral solver so it can
 certify it.  The heat kernel of the semigroup e^{-t(-lap)^(g/2)} is evaluated
-by radial quadrature of its inverse Fourier integral; the fractional Laplacian
-gets a second, singular-integral definition; the Gagliardo seminorm gets both
-a Fourier form and (in 1D) a direct double-integral form; and the mild-form
-Picard iteration provides a time integrator that shares no code with the
-Runge-Kutta stepper beyond the right-hand side itself.
+by radial quadrature of its inverse Fourier integral; the constant C(n, beta)
+of the singular integrals is the Gamma-function closed form; the fractional
+Laplacian gets a second, singular-integral definition; the Gagliardo seminorm
+gets both a Fourier form on raw periodic samples and (in 1D) a direct
+double-integral form; and the mild-form Picard iteration provides a time
+integrator that shares no code with the Runge-Kutta stepper beyond the
+right-hand side itself.
 """
 
 import math
@@ -16,9 +18,9 @@ from scipy import special
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from .diagnostics import _parseval_sum, fit_line, mode_power
+from .diagnostics import fit_line
 from .fields import leray_project
-from .spectral import SPECTRAL, VectorField, to_spectral
+from .spectral import SPECTRAL, VectorField
 
 
 class AccuracyError(RuntimeError):
@@ -235,71 +237,16 @@ def kernel_lp_norm_slope(spec, k, a, p, times):
 
 
 def normalization_constant(n, beta):
-    """C(n, beta) = 1 / integral of (1 - cos z_1)/|z|^(n+2 beta) over R^n."""
+    """C(n, beta) = 1 / integral of (1 - cos z_1)/|z|^(n+2 beta) over R^n.
+
+    In closed form, beta 4^beta Gamma(n/2 + beta) / (pi^(n/2) Gamma(1 - beta))
+    (Di Nezza, Palatucci & Valdinoci, Bull. Sci. Math. 136, 2012).
+    """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
     beta = _fractional_order(beta)
-    # After angular reduction the integral is radial with weight 1 - w(rho),
-    # where w is cos, J0 or sinc for n = 1, 2, 3.  Below delta the weight's
-    # Taylor series integrates in closed form (the integrand is singular but
-    # integrable there); (delta, 1) is smooth quadrature; the tail of the
-    # constant 1 is explicit; and the oscillatory remainder is summed by a
-    # method fitted to each weight.
-    b2 = 1.0 + 2.0 * beta
-    series = {
-        1: (0.5, -1.0 / 24.0, 1.0 / 720.0),
-        2: (0.25, -1.0 / 64.0, 1.0 / 2304.0),
-        3: (1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0),
-    }[n]
-    smooth = {
-        1: lambda r: 2.0 * np.sin(0.5 * r) ** 2,
-        2: lambda r: 1.0 - special.j0(r),
-        3: lambda r: 1.0 - np.sinc(r / np.pi),
-    }[n]
-    delta = 1e-2
-    head = sum(
-        c * delta ** (2 * m - 2.0 * beta) / (2 * m - 2.0 * beta)
-        for m, c in enumerate(series, start=1)
-    )
-    head += quad(lambda r: smooth(r) / r**b2, delta, 1.0,
-                 epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-    if n == 1:
-        osc = _cos_tail(b2)
-    elif n == 2:
-        osc = _bessel_tail(beta)
-    else:
-        osc = _sin_tail(b2 + 1.0)
-    total = _SURFACE[n] * (head + 1.0 / (2.0 * beta) - osc)
-    return 1.0 / total
-
-
-def _cos_tail(mu):
-    # Integral of cos(r) r^-mu over (1, inf); two integrations by parts speed
-    # the algebraic decay to r^-(mu+2) before the oscillatory quadrature.
-    rest = quad(lambda r: r ** (-mu - 2.0), 1.0, np.inf, weight="cos",
-                wvar=1.0, epsabs=1e-13, limit=300)[0]
-    return -np.sin(1.0) + mu * np.cos(1.0) - mu * (mu + 1.0) * rest
-
-
-def _sin_tail(mu):
-    # Integral of sin(r) r^-mu over (1, inf) by one integration by parts.
-    return np.cos(1.0) - mu * _cos_tail(mu + 1.0)
-
-
-def _bessel_tail(beta):
-    # Integral of J0(r) r^(-1-2 beta) over (1, inf), chunked between the zeros
-    # of J0 so the partial sums alternate; averaging the last two partial sums
-    # accelerates the convergence.
-    zeros = special.jn_zeros(0, 360)
-    edges = np.concatenate([[1.0], zeros[zeros > 1.0]])
-    partial = 0.0
-    previous = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        piece = quad(lambda r: special.j0(r) * r**(-1.0 - 2.0 * beta), lo, hi,
-                     epsabs=1e-14, limit=60)[0]
-        previous = partial
-        partial += piece
-    return 0.5 * (partial + previous)
+    return float(beta * 4.0**beta * special.gamma(0.5 * n + beta)
+                 / (np.pi ** (0.5 * n) * special.gamma(1.0 - beta)))
 
 
 def _fractional_order(beta):
@@ -386,35 +333,23 @@ def _symmetric_difference_quadrature(xs, ys, beta, point):
     return head + middle + tail
 
 
-def gagliardo_seminorm_fourier(field, beta, box_length=None):
+def gagliardo_seminorm_fourier(data, beta, box_length):
     """Gagliardo H^beta seminorm via the Fourier multiplier |k|^(2 beta).
 
-    Accepts a VectorField on a SpectralGrid, or a raw periodic scalar array
-    together with its box length.  Components of a vector field are summed.
+    `data` holds the samples of a periodic scalar on an n-dimensional box of
+    side `box_length`, one array axis per space dimension.
     """
     beta = _fractional_order(beta)
-    if isinstance(field, VectorField):
-        grid = field.grid
-        n = grid.dim
-        power = mode_power(to_spectral(field).data)
-        total = _parseval_sum(grid.k_squared**beta * power, grid)
-    else:
-        data = np.asarray(field)
-        if box_length is None:
-            raise ValueError("raw arrays need an explicit box_length")
-        n = data.ndim
-        shape = data.shape
-        coeff = np.fft.fftn(data)
-        power = np.abs(coeff) ** 2
-        axes_k = [
-            2.0 * np.pi * np.fft.fftfreq(m, d=box_length / m) for m in shape
-        ]
-        mesh = np.meshgrid(*axes_k, indexing="ij")
-        k_sq = sum(k * k for k in mesh)
-        weight = box_length**n / float(np.prod(shape)) ** 2
-        total = weight * float(np.sum(k_sq**beta * power))
-    constant = normalization_constant(n, beta)
-    seminorm_sq = 2.0 / constant * total
+    data = np.asarray(data)
+    n = data.ndim
+    shape = data.shape
+    power = np.abs(np.fft.fftn(data)) ** 2
+    axes_k = [2.0 * np.pi * np.fft.fftfreq(m, d=box_length / m) for m in shape]
+    mesh = np.meshgrid(*axes_k, indexing="ij")
+    k_sq = sum(k * k for k in mesh)
+    weight = box_length**n / float(np.prod(shape)) ** 2
+    total = weight * float(np.sum(k_sq**beta * power))
+    seminorm_sq = 2.0 / normalization_constant(n, beta) * total
     return math.sqrt(max(seminorm_sq, 0.0))
 
 

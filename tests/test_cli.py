@@ -146,6 +146,20 @@ class TestExitCodes:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["passed"] is False
 
+    def test_decay_without_samples_past_zero_reports_its_fit_errors(self, tmp_path):
+        # t_end = 0 leaves the quasi-linear reference no sample with t > 0
+        ini = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "decay_2d.ini")
+        args = ["decay", "--config", ini, "--out", str(tmp_path),
+                "--override", "grid.points=16", "--override", "solver.t_end=0"]
+        proc = subprocess.run([sys.executable, "-m", "fchsim.cli"] + args,
+                              capture_output=True, text=True, timeout=300)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is False
+        assert "got 0" in report["quasi_linear_reference"]["E"]["error"]
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["selftest", "--config", str(tmp_path / "absent.ini")])
         assert code == 2
@@ -232,17 +246,22 @@ class TestExitCodes:
         ("simulate", ["solver.t_end=1e300", "solver.dt=1e-10"]),
         ("alpha-sweep", ["alpha-sweep.alphas=1e200 1e199 1e198",
                          "alpha-sweep.l_exponent=2"]),
+        # a flag rather than an override: refused at load, before any work
+        ("filter-check", ["--seed=-1"]),
+        ("simulate", ["datum.kind=band-random", "datum.seed=-1"]),
     ], ids=["nan-alpha", "inf-alpha", "nan-l-exponent", "nan-epsilon",
             "nan-width", "inf-amplitude", "kernel-order-3", "kernel-dim-5",
             "l-exponent-below-one", "overflowing-alpha", "overflowing-filter-symbol",
-            "overflowing-step-count", "overflowing-sweep-widths"])
+            "overflowing-step-count", "overflowing-sweep-widths", "negative-seed-flag",
+            "negative-datum-seed"])
     def test_non_finite_or_out_of_range_value_exits_two(self, tmp_path, capsys,
                                                         scenario, probe):
-        args = [scenario, "--out", str(tmp_path)]
+        args = [scenario, "--out", str(tmp_path / "o")]
         for entry in SMALL_RUN + probe:
-            args += ["--override", entry]
+            args += [entry] if entry.startswith("--") else ["--override", entry]
         assert main(args) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_blow_up_exits_three(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "sweep.ini", BLOW_UP_SWEEP_INI)

@@ -10,8 +10,8 @@ import pytest
 
 import fchsim
 from fchsim.diagnostics import (
-    EnergyRecord, fit_line, fourier_amplitude_bound_check, gradient_norm_sq,
-    l2_inner, l2_norm_sq, linear_decay_curve, record_energy,
+    EnergyRecord, fit_decay, fit_line, fourier_amplitude_bound_check,
+    gradient_norm_sq, l2_inner, l2_norm_sq, linear_decay_curve, record_energy,
     time_average_decay_check,
 )
 from fchsim.fields import ProjectedField
@@ -159,6 +159,12 @@ def test_fit_line_recovers_a_line_and_matches_least_squares():
     for bad in (([1.0], [2.0]), ([1.0, 2.0], [1.0]), (np.ones((2, 2)), np.ones((2, 2)))):
         with pytest.raises(ValueError):
             fit_line(*bad)
+
+
+def test_fit_decay_of_an_empty_series_counts_zero_samples():
+    # a run that ends at t = 0 leaves nothing with t > 0 to fit
+    with pytest.raises(ValueError, match="got 0"):
+        fit_decay([], (0.5, 2.0))
 
 
 _LINEAR_ALGEBRA = {"dot", "matmul", "inner", "tensordot", "vdot", "einsum",

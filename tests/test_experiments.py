@@ -329,6 +329,20 @@ class TestBatteries:
         report = run_kernel_check(config)
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 0.9])
+    def test_gaussian_multiplier_route_matches_its_cosine_transform(self, beta):
+        # the Kummer closed form against a quadrature of
+        # sqrt(2/pi) * integral of xi^(2 beta) exp(-xi^2/2) cos(x xi)
+        from scipy.integrate import quad
+
+        for x in (0.0, 0.7, 1.9):
+            direct = np.sqrt(2.0 / np.pi) * quad(
+                lambda xi: xi ** (2.0 * beta) * np.exp(-xi**2 / 2.0)
+                * np.cos(x * xi), 0.0, 40.0, epsabs=1e-12, epsrel=1e-10,
+                limit=200)[0]
+            assert experiments._gaussian_multiplier_route(x, beta) == (
+                pytest.approx(direct, rel=1e-10, abs=1e-12))
+
     def test_selftest(self, tmp_path):
         config = config_for("selftest", tmp_path)
         report = run_selftest(config)

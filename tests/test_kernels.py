@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
+from scipy.special import j0, j1
 
 from fchsim import integrate
 from fchsim.integrate import SolverParams, band_random, run
@@ -28,16 +29,6 @@ from fchsim.kernels import (
     predicted_lp_slope,
 )
 from fchsim.spectral import SpectralGrid, VectorField, to_physical
-
-
-def reference_constant(n, beta):
-    # Closed form via Gamma functions; independent of the package quadrature.
-    return (
-        4.0**beta
-        * gamma_fn(n / 2.0 + beta)
-        * beta
-        / (np.pi ** (n / 2.0) * gamma_fn(1.0 - beta))
-    )
 
 
 class TestHeatKernel:
@@ -165,10 +156,30 @@ class TestNormalizationConstant:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_matches_gamma_closed_form(self, n, beta):
+        # Independent route to the package's Gamma closed form: after angular
+        # reduction C(n, beta) = 1 / (|S^(n-1)| * integral of
+        # (1 - w(r)) / r^(1 + 2 beta) over r > 0), w = cos, J0 or sinc.  A
+        # trapezoid on a geometric mesh that resolves w, the Taylor series
+        # of 1 - w below the mesh, and beyond it the constant's tail minus
+        # the leading term of w's oscillatory tail.
+        series, weight, osc_tail, surface = {
+            1: ((1 / 2, -1 / 24, 1 / 720), np.cos,
+                lambda r, mu: -np.sin(r) * r**-mu, 2.0),
+            2: ((1 / 4, -1 / 64, 1 / 2304), j0,
+                lambda r, mu: -j1(r) * r**-mu, 2.0 * np.pi),
+            3: ((1 / 6, -1 / 120, 1 / 5040), lambda r: np.sinc(r / np.pi),
+                lambda r, mu: np.cos(r) * r ** (-mu - 1.0), 4.0 * np.pi),
+        }[n]
+        mu = 1.0 + 2.0 * beta
+        r = np.geomspace(1e-2, 1e4, 1_000_001)
+        head = sum(c * r[0] ** (2 * m - 2.0 * beta) / (2 * m - 2.0 * beta)
+                   for m, c in enumerate(series, start=1))
+        body = np.trapezoid((1.0 - weight(r)) / r**mu, r)
+        tail = r[-1] ** (-2.0 * beta) / (2.0 * beta) - osc_tail(r[-1], mu)
+        brute = 1.0 / (surface * (head + body + tail))
         mine = normalization_constant(n, beta)
-        exact = reference_constant(n, beta)
         assert mine > 0.0
-        assert abs(mine - exact) / exact <= 1e-8
+        assert abs(mine - brute) / brute <= 1e-8
 
     def test_one_dimensional_half_order_is_one_over_pi(self):
         assert abs(normalization_constant(1, 0.5) - 1.0 / np.pi) <= 1e-12
@@ -258,15 +269,13 @@ class TestGagliardoSeminorm:
         assert gagliardo_seminorm_fourier(f, 0.5, box_length=10.0) == 0.0
 
     def test_single_mode_closed_form(self):
-        # a cos(2 x1) in one component on the periodic box: the seminorm
-        # squared is 2/C * L^n * a^2/2 * |k|^(2 beta).
+        # a cos(2 x1) on the periodic box: the seminorm squared is
+        # 2/C * L^n * a^2/2 * |k|^(2 beta).
         grid = SpectralGrid(2, 32, 2.0 * np.pi)
         a, beta = 0.8, 0.5
         x = grid.coordinate_mesh()
-        data = np.zeros((2,) + grid.shape)
-        data[0] = a * np.cos(2.0 * x[0])
-        field = VectorField(grid, data, "physical")
-        mine = gagliardo_seminorm_fourier(field, beta)
+        mine = gagliardo_seminorm_fourier(a * np.cos(2.0 * x[0]), beta,
+                                          grid.box_length)
         constant = normalization_constant(2, beta)
         expected = np.sqrt(
             2.0 / constant * grid.box_length**2 * a**2 / 2.0 * 2.0 ** (2.0 * beta)
@@ -290,13 +299,13 @@ class TestGagliardoSeminorm:
         xs = np.linspace(-30.0, 30.0, 6001)
         direct = gagliardo_seminorm_direct(xs, np.exp(-(xs**2) / 2.0), beta)
         exact = np.sqrt(
-            2.0 * gamma_fn(beta + 0.5) / reference_constant(1, beta)
+            2.0 * gamma_fn(beta + 0.5) / normalization_constant(1, beta)
         )
         assert abs(direct - exact) / exact <= 1e-2
 
     def test_validation(self):
         f = np.zeros(128)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             gagliardo_seminorm_fourier(f, 0.5)  # missing box_length
         with pytest.raises(ValueError):
             gagliardo_seminorm_fourier(f, 1.0, box_length=10.0)

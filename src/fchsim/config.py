@@ -245,6 +245,9 @@ class ExperimentConfig:
             raise ConfigError("epsilons must be strictly decreasing, length >= 2")
         if self.datum_kind != "scaled-bump":
             raise ConfigError("scaled-family runs on the scaled-bump datum")
+        if "epsilon" in self.datum:
+            raise ConfigError("scaled-family takes its members from "
+                              "[scaled-family] epsilons, not [datum] epsilon")
         # each member's length scale width / eps must fit the box and stay
         # at least a few cells wide
         _, points, length = self.grid

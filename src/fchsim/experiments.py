@@ -86,14 +86,13 @@ def _jsonable(value):
 
 
 def _config_summary(config):
-    params = dataclasses.asdict(config.params) if config.params is not None else None
     return _jsonable({
         "scenario": config.scenario,
         "output_dir": config.output_dir,
         "sample_stride": config.sample_stride,
         "grid": {"dim": config.grid[0], "points": config.grid[1],
                  "box_length": config.grid[2]},
-        "solver": params,
+        "solver": config.params,
         "datum": dict(config.datum),
         "fit_window": config.fit_window,
         "epsilons": config.epsilons,
@@ -106,19 +105,9 @@ def _config_summary(config):
     })
 
 
-def _new_report(config):
-    return {
-        "experiment": config.scenario,
-        "version": __version__,
-        "config": _config_summary(config),
-        "assertions": [],
-    }
-
-
 def _check(report, name, passed, detail=""):
     report["assertions"].append(
         {"name": name, "passed": bool(passed), "detail": detail})
-    return bool(passed)
 
 
 def write_report(report, path):
@@ -151,14 +140,6 @@ def _peak_rss_mb():
     return int(hwm[0]) * 1024 / 1e6 if hwm else None
 
 
-def _finish(report, out_dir):
-    report["passed"] = all(entry["passed"] for entry in report["assertions"])
-    report["environment"] = _environment()
-    report["peak_rss_mb"] = _peak_rss_mb()
-    write_report(report, os.path.join(out_dir, "report.json"))
-    return report
-
-
 def _csv_row(values):
     """One CSV row, every value at full precision (%.17g round-trips)."""
     return ",".join("%.17g" % x for x in values)
@@ -174,32 +155,35 @@ def write_energy_csv(records, path):
     _write_csv(path, EnergyRecord.CSV_HEADER, (rec.as_row() for rec in records))
 
 
-def _blow_up_report(report, err, out_dir):
-    report["blow_up"] = {"t": err.t, "reason": err.reason}
-    if err.records:
-        write_energy_csv(err.records, os.path.join(out_dir, "energy.csv"))
-        report.setdefault("artifacts", {})["energy_csv"] = "energy.csv"
-    _check(report, "run reached t_end", False,
-           f"blow-up at t = {err.t:g}: {err.reason}")
-
-
 def _scenario(body):
     """Make the runner `run(config) -> report` from `body(config, report)`.
 
     The one report path: the runner makes the output directory (an
     unusable one is a configuration error, raised before any work), starts
     the report, lets the body fill it, turns a blow-up anywhere in the body
-    into the report's "blow_up" entry, and finishes and writes the report.
+    into the report's "blow_up" entry (with the energy stream up to it),
+    adds the verdict, environment and peak memory, and writes the report.
     Configuration errors pass through unreported.
     """
     def runner(config):
         config.make_output_dir()
-        report = _new_report(config)
+        out = config.output_dir
+        report = {"experiment": config.scenario, "version": __version__,
+                  "config": _config_summary(config), "assertions": []}
         try:
             body(config, report)
         except BlowUpError as err:
-            _blow_up_report(report, err, config.output_dir)
-        return _finish(report, config.output_dir)
+            report["blow_up"] = {"t": err.t, "reason": err.reason}
+            if err.records:
+                write_energy_csv(err.records, os.path.join(out, "energy.csv"))
+                report.setdefault("artifacts", {})["energy_csv"] = "energy.csv"
+            _check(report, "run reached t_end", False,
+                   f"blow-up at t = {err.t:g}: {err.reason}")
+        report["passed"] = all(entry["passed"] for entry in report["assertions"])
+        report["environment"] = _environment()
+        report["peak_rss_mb"] = _peak_rss_mb()
+        write_report(report, os.path.join(out, "report.json"))
+        return report
     runner.__name__ = runner.__qualname__ = body.__name__
     runner.__doc__ = body.__doc__
     return runner
@@ -248,6 +232,16 @@ def run_simulate(config, report):
 _DECAY_GATES = {"E": (0.5, 0.98), "gradv_l2": (1.0, 0.95)}
 
 
+def _fit(data, window):
+    """The log-log decay fit of (t, value) pairs over the window, as
+    {"exponent", "r_squared"}, or {"error"} when it cannot be made."""
+    try:
+        fit = fit_decay(data, window)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {"exponent": fit.exponent, "r_squared": fit.r_squared}
+
+
 @_scenario
 def run_decay_experiment(config, report):
     """Long run of one datum with log-log decay fits against predicted rates.
@@ -291,39 +285,29 @@ def run_decay_experiment(config, report):
         "grad2v_l2": grad2,
     }
     report["theory_exponents"] = theory
-    fits = {}
-    for name, data in series.items():
-        try:
-            fit = fit_decay(data, window)
-        except ValueError as exc:
-            fits[name] = {"error": str(exc)}
+    fits = {name: _fit(data, window) for name, data in series.items()}
+    for name, fit in fits.items():
+        if "error" in fit:
             if name in _DECAY_GATES:
-                _check(report, f"{name} fit computed", False, str(exc))
+                _check(report, f"{name} fit computed", False, fit["error"])
             continue
-        fits[name] = {"exponent": fit.exponent, "r_squared": fit.r_squared,
-                      "theory": theory[name]}
+        fit["theory"] = theory[name]
         if name in _DECAY_GATES:
             band, floor = _DECAY_GATES[name]
             _check(report, f"{name} decay exponent near theory",
-                   abs(fit.exponent - theory[name]) <= band,
-                   f"fitted {fit.exponent:+.3f}, predicted {theory[name]:+.3f},"
+                   abs(fit["exponent"] - theory[name]) <= band,
+                   f"fitted {fit['exponent']:+.3f}, predicted {theory[name]:+.3f},"
                    f" band +-{band:g}")
-            _check(report, f"{name} decay is algebraic", fit.r_squared >= floor,
-                   f"r^2 = {fit.r_squared:.4f} (floor {floor:g})")
+            _check(report, f"{name} decay is algebraic", fit["r_squared"] >= floor,
+                   f"r^2 = {fit['r_squared']:.4f} (floor {floor:g})")
     report["fits"] = fits
 
     state0 = prepare_initial_state(v0, params)
     times = np.array([rec.t for rec in records if rec.t > 0.0])
     curves = linear_decay_curve(state0.v.field, params, times)
-    reference = {}
-    for name in ("E", "v_l2", "gradv_l2"):
-        try:
-            fit = fit_decay(list(zip(times, curves[name])), window)
-            reference[name] = {"exponent": fit.exponent,
-                               "r_squared": fit.r_squared}
-        except ValueError as exc:
-            reference[name] = {"error": str(exc)}
-    report["quasi_linear_reference"] = reference
+    report["quasi_linear_reference"] = {
+        name: _fit(list(zip(times, curves[name])), window)
+        for name in ("E", "v_l2", "gradv_l2")}
 
     amplitude = fourier_amplitude_bound_check(records)
     report["fourier_amplitude_bound"] = {
@@ -375,71 +359,60 @@ def run_scaled_family(config, report):
             "records": run(v0, params, stride=config.sample_stride).records,
         }
 
-    members = []
-    worst_l2 = worst_grad = worst_identity = 0.0
-    grad_rates = []
+    results = []
     for result in map_on_worker(member, config.epsilons):
         eps, records = result["eps"], result["records"]
-        worst_l2 = max(worst_l2, result["l2_deviation"])
-        worst_grad = max(worst_grad, result["grad_deviation"])
-        worst_identity = max(worst_identity, result["identity"])
-        grad_rates.append(result["grad_rate"])
-        label = ("%g" % eps).replace(".", "p")
-        csv_name = f"family_eps_{label}.csv"
-        write_energy_csv(records, os.path.join(out, csv_name))
+        result["csv"] = "family_eps_%s.csv" % ("%g" % eps).replace(".", "p")
+        write_energy_csv(records, os.path.join(out, result["csv"]))
         deficit_rate = max(
             ((base_l2 - rec.E) / (eps ** 2 * rec.t)
              for rec in records if rec.t > 0.0), default=0.0)
-        deficit_rate = max(deficit_rate, 0.0)
-        members.append({
-            "eps": eps,
-            "csv": csv_name,
-            "E0": records[0].E,
-            "half_life": _half_life(records),
-            "deficit_rate": deficit_rate,
-            "records": records,
-        })
+        result["deficit_rate"] = max(deficit_rate, 0.0)
+        results.append(result)
 
-    _check(report, "family L2 norm invariant", worst_l2 <= 1e-6,
-           f"worst |ratio - 1| = {worst_l2:.3e} (gate 1e-6)")
-    _check(report, "family gradient scales by eps", worst_grad <= 1e-4,
-           f"worst deviation = {worst_grad:.3e} (gate 1e-4)")
-    _check(report, "momentum three-term norm identity", worst_identity <= 1e-12,
-           f"worst relative residual = {worst_identity:.3e}")
+    for key, name, gate, detail in (
+            ("l2_deviation", "family L2 norm invariant", 1e-6,
+             "worst |ratio - 1| = {:.3e} (gate 1e-6)"),
+            ("grad_deviation", "family gradient scales by eps", 1e-4,
+             "worst deviation = {:.3e} (gate 1e-4)"),
+            ("identity", "momentum three-term norm identity", 1e-12,
+             "worst relative residual = {:.3e}")):
+        worst = max(result[key] for result in results)
+        _check(report, name, worst <= gate, detail.format(worst))
+    grad_rates = [result["grad_rate"] for result in results]
     bounded = all(rate <= grad_rates[0] * (1.0 + 1e-9) for rate in grad_rates)
     _check(report, "momentum gradient bounded by C eps^2", bounded,
            "normalized rates " + ", ".join("%.6g" % r for r in grad_rates))
     report["grad_momentum_C"] = max(grad_rates)
 
-    rates = [m["deficit_rate"] for m in members]
+    rates = [result["deficit_rate"] for result in results]
     c_hat = 1.1 * max(rates)
     report["c_hat"] = c_hat
-    worst_violation = -np.inf
-    for member in members:
-        eps = member["eps"]
-        for rec in member["records"]:
-            worst_violation = max(
-                worst_violation, (base_l2 - c_hat * eps ** 2 * rec.t) - rec.E)
+    worst_violation = max(
+        (base_l2 - c_hat * result["eps"] ** 2 * rec.t) - rec.E
+        for result in results for rec in result["records"])
     _check(report, "energy lower bound with one fitted rate constant",
            worst_violation <= 1e-9 * base_l2,
            f"worst violation {worst_violation:.3e} against ||u0||^2 = {base_l2:.6g}")
     ratio = max(rates) / min(rates) if min(rates) > 0 else float("inf")
     _check(report, "eps^2-normalized deficit rates uniform", ratio <= 2.0,
            f"max/min = {ratio:.3f} (gate 2)")
-    half_lives = [m["half_life"] for m in members]
+    half_lives = [_half_life(result["records"]) for result in results]
     resolved = all(tau is not None for tau in half_lives)
     increasing = resolved and all(b > a for a, b in zip(half_lives, half_lives[1:]))
     _check(report, "half-life grows as eps shrinks", increasing,
            "half-lives " + ", ".join(
                "unresolved" if tau is None else "%.3f" % tau for tau in half_lives))
     if min(rates) > 0:
-        eps_list = [m["eps"] for m in members]
-        absolute = [m["deficit_rate"] * m["eps"] ** 2 for m in members]
+        eps_list = [result["eps"] for result in results]
+        absolute = [rate * eps ** 2 for rate, eps in zip(rates, eps_list)]
         report["deficit_rate_exponent"] = fit_line(
             np.log(eps_list), np.log(absolute))[0]
-    for member in members:
-        member.pop("records")
-    report["members"] = members
+    report["members"] = [
+        {"eps": result["eps"], "csv": result["csv"],
+         "E0": result["records"][0].E, "half_life": tau,
+         "deficit_rate": result["deficit_rate"]}
+        for result, tau in zip(results, half_lives)]
 
 
 @_scenario
@@ -493,14 +466,19 @@ def run_alpha_sweep(config, report):
         "The uniform bound sup_t (L^l norm of v plus L^l norm of its "
         "half-order derivative) is a hypothesis of the convergence "
         "statement; it is measured and reported, not enforced.",
-        "In two dimensions the first-order filter correction to the "
-        "projected momentum equation is a perfect gradient, so the "
-        "pressure absorbs it and the measured order sits near 4 rather "
-        "than the generic 2." if grid.dim == 2 else
-        "In three dimensions the first-order filter correction to the "
-        "projected momentum equation is not a gradient, so the pressure "
-        "cannot absorb it and the measured order is expected near the "
-        "generic 2, not the 4 of two dimensions.",
+        "The fitted order is that of the momentum v, with every member "
+        "started from one shared momentum datum. " + (
+            "In two dimensions the first-order filter correction to the "
+            "projected momentum equation is a perfect gradient, so the "
+            "pressure absorbs it and the measured order sits near 4 rather "
+            "than the generic 2.  The filtered velocity "
+            "u = (1 - alpha^2 Laplacian)^-1 v converges at order near 2."
+            if grid.dim == 2 else
+            "In three dimensions the first-order filter correction to the "
+            "projected momentum equation is not a gradient, so the pressure "
+            "cannot absorb it and the measured order is expected near the "
+            "generic 2, not the 4 of two dimensions.  The filtered velocity "
+            "u = (1 - alpha^2 Laplacian)^-1 v is expected near 2 as well."),
     ]
 
     _write_csv(os.path.join(out, "distances.csv"), "alpha,max_distance,uniform_bound",
@@ -561,18 +539,16 @@ def run_filter_check(config, report):
     seed = config.seed if config.seed is not None else 0
     rng = np.random.default_rng(seed)
 
-    fields = [VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape),
-                          PHYSICAL) for _ in range(10)]
-    worst = _worst_filter_identity(to_spectral(v) for v in fields)
+    spectra = [to_spectral(VectorField(
+        grid, rng.standard_normal((grid.dim,) + grid.shape), PHYSICAL))
+        for _ in range(10)]
+    worst = _worst_filter_identity(spectra)
     _check(report, "three-term filter identity", worst <= 1e-12,
            f"worst relative residual {worst:.3e}"
            " (10 fields, m in 0..2, alpha in 0.1, 1)")
 
-    ident = 0.0
-    for v in fields[:3]:
-        vh = to_spectral(v)
-        ident = max(ident, float(np.max(np.abs(apply_filter(vh, 0.0).data
-                                               - vh.data))))
+    ident = max(float(np.max(np.abs(apply_filter(vh, 0.0).data - vh.data)))
+                for vh in spectra[:3])
     _check(report, "zero width filter is the identity", ident == 0.0,
            f"max coefficient change {ident:.3e}")
 
@@ -662,12 +638,11 @@ def _kernel_battery(config, report):
     xs = np.linspace(-14.0, 14.0, 561)
     ys = np.exp(-xs ** 2 / 2.0)
     points = (0.0, 0.7, 1.9)
-    scale = max(abs(_gaussian_multiplier_route(x, beta)) for x in points)
-    worst_rel = 0.0
-    for x in points:
-        direct = integral_fractional_laplacian(xs, ys, beta, x)
-        reference = _gaussian_multiplier_route(x, beta)
-        worst_rel = max(worst_rel, abs(direct - reference) / scale)
+    references = [_gaussian_multiplier_route(x, beta) for x in points]
+    scale = max(abs(reference) for reference in references)
+    worst_rel = max(
+        abs(integral_fractional_laplacian(xs, ys, beta, x) - reference) / scale
+        for x, reference in zip(points, references))
     _check(report, "integral route matches the multiplier route",
            worst_rel <= 1e-3,
            f"worst scaled deviation {worst_rel:.3e} at beta = {beta:g}")

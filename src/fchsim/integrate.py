@@ -326,6 +326,8 @@ def scaled_bump(grid, eps, width, peak_speed=1.0):
         raise ValueError("stream-function data is two-dimensional")
     if width <= 0 or eps <= 0:
         raise ValueError("width and eps must be positive")
+    if not peak_speed > 0:
+        raise ValueError(f"peak_speed (max |v|) must be positive, got {peak_speed!r}")
     # offsets from the box centre c, which lie in [-L/2, L/2)
     dx, dy = grid.coordinate_mesh() - grid.box_length / 2.0
     # psi = A exp(-r^2 / 2 w^2), A chosen so max |v| = peak_speed at eps = 1
@@ -341,6 +343,8 @@ def band_random(grid, seed, band=(2.0, 4.0), amplitude=1.0):
     lo, hi = band
     if not (0 <= lo <= hi):
         raise ValueError(f"need 0 <= lo <= hi in the band, got {band}")
+    if not amplitude > 0:
+        raise ValueError(f"amplitude (max |v|) must be positive, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((grid.dim,) + grid.shape)
     axes = _spatial_axes(grid)

@@ -199,14 +199,32 @@ class TestExitCodes:
         ["datum.kind=band-random", "datum.band_lo=40", "datum.band_hi=50"],
         ["datum.width=-1"],
         ["datum.kind=scaled-bump", "datum.epsilon=0"],
+        ["datum.peak_speed=0"],
+        ["datum.kind=band-random", "datum.amplitude=0"],
     ], ids=["3d-stream-bump", "inverted-band", "empty-band", "negative-width",
-            "zero-epsilon"])
-    def test_bad_datum_exits_two(self, tmp_path, capsys, probe):
+            "zero-epsilon", "zero-peak-speed", "zero-amplitude"])
+    def test_bad_datum_exits_two(self, tmp_path, capsys, monkeypatch, probe):
+        monkeypatch.setattr(experiments, "run",
+                            lambda *args, **kw: pytest.fail("the run started"))
         args = ["simulate", "--out", str(tmp_path)]
         for entry in SMALL_RUN + probe:
             args += ["--override", entry]
         assert main(args) == 2
         assert "configuration error: bad [datum]" in capsys.readouterr().err
+
+    def test_family_with_zero_peak_speed_exits_two(self, tmp_path):
+        # a zero peak speed zeroes the base member's L2 norm, a divisor
+        ini = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "scaled_family_2d.ini")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fchsim.cli", "scaled-family", "--config", ini,
+             "--out", str(tmp_path), "--override", "datum.peak_speed=0",
+             "--override", "solver.t_end=0.4"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "configuration error: bad [datum]" in proc.stderr
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("scenario", ["simulate", "filter-check"])
     def test_output_dir_under_a_file_exits_two_before_running(

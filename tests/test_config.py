@@ -164,6 +164,13 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError, match="epsilons"):
             ExperimentConfig(scenario="scaled-family")
 
+    def test_family_rejects_datum_epsilon(self):
+        # the members come from [scaled-family] epsilons; a [datum] epsilon
+        # would be ignored by the run but recorded in the report's config block
+        family = str(ROOT / "configs" / "scaled_family_2d.ini")
+        with pytest.raises(ConfigError, match=r"not \[datum\] epsilon"):
+            load_experiment_config("scaled-family", family, ["datum.epsilon=0.5"])
+
     def test_alpha_sweep_exponent_window(self):
         params = SolverParams(nu=0.01, beta=0.75, alpha=0.0, dt=1e-3, t_end=1.0)
         config = ExperimentConfig(scenario="alpha-sweep",

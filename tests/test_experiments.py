@@ -224,6 +224,27 @@ class TestDecay:
         assert "error" in report["fits"]["E"]
         assert (tmp_path / "energy.csv").exists()
 
+    @pytest.mark.parametrize("window, fitted", [((0.1, 0.9), True),
+                                                ((0.9, 1.0), False)],
+                             ids=["fitted", "too-few-samples"])
+    def test_fit_entries(self, tmp_path, window, fitted):
+        config = config_for(
+            "decay", tmp_path, grid=(2, 32, TWO_PI),
+            params=small_params(dt=0.01, t_end=1.0),
+            datum={"kind": "band-random", "seed": 2},
+            fit_window=window, sample_stride=5)
+        run_decay_experiment(config)
+        report = json.loads((tmp_path / "report.json").read_text())
+        keys = ["exponent", "r_squared", "theory"] if fitted else ["error"]
+        for name, fit in report["fits"].items():
+            assert list(fit) == keys, name
+            if fitted:
+                assert fit["theory"] == report["theory_exponents"][name]
+        # the quasi-linear reference carries no prediction
+        assert list(report["quasi_linear_reference"]) == ["E", "v_l2", "gradv_l2"]
+        for fit in report["quasi_linear_reference"].values():
+            assert list(fit) == (keys[:2] if fitted else ["error"])
+
     def test_three_dimensional_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="two-dimensional"):
             config_for("decay", tmp_path, grid=(3, 16, TWO_PI),
@@ -261,6 +282,28 @@ class TestScaledFamily:
         assert report["c_hat"] > 0
         for member in report["members"]:
             assert (tmp_path / member["csv"]).exists()
+
+    def test_members_and_rate_constants(self, tmp_path):
+        config = self.family_config(
+            tmp_path, params=SolverParams(nu=2.0, beta=1.0, alpha=1.0, dt=0.1,
+                                          t_end=1.0))
+        run_scaled_family(config)
+        report = json.loads((tmp_path / "report.json").read_text())
+        members = report["members"]
+        assert [m["eps"] for m in members] == [1.0, 0.5]
+        for member in members:
+            assert list(member) == ["eps", "csv", "E0", "half_life",
+                                    "deficit_rate"]
+            assert (tmp_path / member["csv"]).exists()
+        rates = [m["deficit_rate"] for m in members]
+        assert min(rates) > 0
+        assert report["c_hat"] == 1.1 * max(rates)
+        detail = next(a["detail"] for a in report["assertions"]
+                      if a["name"] == "momentum gradient bounded by C eps^2")
+        normalized = [float(r) for r in
+                      detail.removeprefix("normalized rates ").split(", ")]
+        assert len(normalized) == len(members)
+        assert float("%.6g" % report["grad_momentum_C"]) == max(normalized)
 
     def test_base_member_is_the_configured_datum(self, tmp_path):
         # one [datum] section, one field: the family builds its members with

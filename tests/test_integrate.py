@@ -644,3 +644,9 @@ def test_datum_validation(grid32):
         scaled_bump(grid32, 0.0, width=1.0)
     with pytest.raises(ValueError):
         scaled_bump(grid32, 1.0, width=-1.0)
+    # both take a max |v|: zero gives an all-zero field, a negative one flips it
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="peak_speed"):
+            scaled_bump(grid32, 1.0, width=1.0, peak_speed=bad)
+        with pytest.raises(ValueError, match="amplitude"):
+            band_random(grid32, seed=3, amplitude=bad)
